@@ -35,7 +35,6 @@ struct RunResult {
   double wire_staging_s = 0.0;  ///< sum over ranks: net+d2h+h2d lane busy
   double peer_s = 0.0;          ///< sum over ranks: peer link lane busy
   std::uint64_t peer_bytes = 0;
-  std::uint64_t plan_fallbacks = 0;
   ramr::hydro::FieldSummary summary;
 };
 
@@ -92,8 +91,6 @@ RunResult run(int device_count, bool gpu_direct, int steps, int n,
       }
     }
     const ramr::hydro::FieldSummary summary = sim.composite_summary();
-    const std::uint64_t fallbacks =
-        sim.integrator().transfer_counters().plan_fallbacks;
     std::lock_guard<std::mutex> lock(mu);
     if (step > res.step_s) {
       res.step_s = step;
@@ -101,7 +98,6 @@ RunResult run(int device_count, bool gpu_direct, int steps, int n,
     res.wire_staging_s += wire;
     res.peer_s += peer;
     res.peer_bytes += peer_bytes;
-    res.plan_fallbacks += fallbacks;
     res.summary = summary;  // allreduced: identical on every rank
   });
   return res;
@@ -157,13 +153,6 @@ int main() {
 
   // --- Hard asserts ---------------------------------------------------
   for (const RunResult& r : runs) {
-    if (r.plan_fallbacks != 0) {
-      std::printf("\nFAIL: %llu compiled-plan fallbacks with %d devices "
-                  "(multi-device endpoints must compile as the fast path)\n",
-                  static_cast<unsigned long long>(r.plan_fallbacks),
-                  r.device_count);
-      return 1;
-    }
     if (!same_physics(r.summary, base.summary)) {
       std::printf("\nFAIL: physics differs with %d devices%s: mass %.17e vs "
                   "%.17e, ie %.17e vs %.17e, ke %.17e vs %.17e\n",

@@ -13,6 +13,7 @@
 //   ./ramr_run --serve 4 --manifest state.json   # resume a stopped server
 //   ./ramr_run --print-config problem.json   # effective config, then exit
 //   ./ramr_run --list-problems
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -169,6 +170,14 @@ int run_single(const std::string& path) {
   }
   write_observability(config, std::move(trace_events), metrics_lines);
   std::printf("%s\n", report.dump().c_str());
+  // A diverged run prints its non-finite totals as null; fail it too.
+  for (const char* key : {"mass", "internal_energy", "kinetic_energy"}) {
+    if (!std::isfinite(report.find("summary")->find(key)->as_number())) {
+      std::fprintf(stderr, "error: %s: non-finite final summary (%s)\n",
+                   path.c_str(), key);
+      return 1;
+    }
+  }
   return 0;
 }
 

@@ -429,7 +429,6 @@ double LagrangianEulerianIntegrator::advance() {
     gridding_->regrid(h, time_);
     rebuild_schedules();
   }
-  xfer_counters_.plan_fallbacks = ctx_->plan_fallbacks;
   return dt;
 }
 

@@ -325,6 +325,10 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";  // JSON has no NaN or infinity literal
+    return;
+  }
   char buf[40];
   if (v == std::floor(v) && std::abs(v) < 9.0e15) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));

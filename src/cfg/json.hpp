@@ -78,7 +78,8 @@ class Json {
 
   /// Serializes with 2-space indentation (indent <= 0: compact one-line).
   /// Numbers round-trip exactly: integral values print as integers,
-  /// everything else with max_digits10 precision.
+  /// everything else with max_digits10 precision. Non-finite numbers
+  /// (NaN, infinity) have no JSON literal and print as null.
   std::string dump(int indent = 2) const;
 
   /// Parses one JSON document; throws util::Error with line:column

@@ -1,6 +1,8 @@
 #include "hydro/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -948,35 +950,44 @@ FieldSummary field_summary(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
   const int ilo = box.lower().i;
   const int jlo = box.lower().j;
   const int w = box.width();
-  // Three reductions expressed through reduce_min on negated partial sums
-  // would be awkward; use one pass with a mutex-combined accumulator and
-  // charge it as a single summary kernel (CloverLeaf's field_summary).
+  // Partial sums per fixed-size block of cells, combined in block order:
+  // the result depends neither on the worker count nor on which chunk
+  // finishes first, so repeated runs (and threaded ranks) agree bit for
+  // bit. Charged as a single summary kernel (CloverLeaf's field_summary).
   dev.charge_reduction(box.size() * 4, 8.0);
-  std::mutex m;
-  FieldSummary total;
+  constexpr std::int64_t kBlock = 1024;
+  const std::int64_t n = box.size();
+  std::vector<FieldSummary> partial(
+      static_cast<std::size_t>((n + kBlock - 1) / kBlock));
   util::ThreadPool::global().parallel_for(
-      box.size(), [&](std::int64_t begin, std::int64_t end) {
-        FieldSummary local;
-        for (std::int64_t t = begin; t < end; ++t) {
-          const int i = ilo + static_cast<int>(t % w);
-          const int j = jlo + static_cast<int>(t / w);
-          const double cell_mass = density0(i, j) * volume;
-          local.mass += cell_mass;
-          local.internal_energy += cell_mass * energy0(i, j);
-          double vsqrd = 0.0;
-          for (int kj = j; kj <= j + 1; ++kj) {
-            for (int ki = i; ki <= i + 1; ++ki) {
-              vsqrd += 0.25 * (xvel0(ki, kj) * xvel0(ki, kj) +
-                               yvel0(ki, kj) * yvel0(ki, kj));
+      static_cast<std::int64_t>(partial.size()),
+      [&](std::int64_t first, std::int64_t last) {
+        for (std::int64_t b = first; b < last; ++b) {
+          FieldSummary& local = partial[static_cast<std::size_t>(b)];
+          const std::int64_t end = std::min(n, (b + 1) * kBlock);
+          for (std::int64_t t = b * kBlock; t < end; ++t) {
+            const int i = ilo + static_cast<int>(t % w);
+            const int j = jlo + static_cast<int>(t / w);
+            const double cell_mass = density0(i, j) * volume;
+            local.mass += cell_mass;
+            local.internal_energy += cell_mass * energy0(i, j);
+            double vsqrd = 0.0;
+            for (int kj = j; kj <= j + 1; ++kj) {
+              for (int ki = i; ki <= i + 1; ++ki) {
+                vsqrd += 0.25 * (xvel0(ki, kj) * xvel0(ki, kj) +
+                                 yvel0(ki, kj) * yvel0(ki, kj));
+              }
             }
+            local.kinetic_energy += cell_mass * 0.5 * vsqrd;
           }
-          local.kinetic_energy += cell_mass * 0.5 * vsqrd;
         }
-        std::lock_guard<std::mutex> lock(m);
-        total.mass += local.mass;
-        total.internal_energy += local.internal_energy;
-        total.kinetic_energy += local.kinetic_energy;
       });
+  FieldSummary total;
+  for (const FieldSummary& p : partial) {
+    total.mass += p.mass;
+    total.internal_energy += p.internal_energy;
+    total.kinetic_energy += p.kinetic_energy;
+  }
   dev.charge_scalar_readback();
   (void)s;
   return total;

@@ -18,6 +18,16 @@ double tree_depth(int size) {
   return size > 1 ? std::ceil(std::log2(static_cast<double>(size))) : 0.0;
 }
 
+template <typename T>
+T combine(ReduceOp op, T a, T b) {
+  switch (op) {
+    case ReduceOp::kMin: return std::min(a, b);
+    case ReduceOp::kMax: return std::max(a, b);
+    case ReduceOp::kSum: return a + b;
+  }
+  return a;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -159,16 +169,16 @@ double Communicator::allreduce(double value, ReduceOp op) {
   const std::uint64_t generation = c.generation;
   c.fold_time(c.arrived == 0, my_time);
   if (c.arrived == 0) {
-    c.dvalue = value;
-  } else {
-    switch (op) {
-      case ReduceOp::kMin: c.dvalue = std::min(c.dvalue, value); break;
-      case ReduceOp::kMax: c.dvalue = std::max(c.dvalue, value); break;
-      case ReduceOp::kSum: c.dvalue += value; break;
-    }
+    c.dslots.assign(static_cast<std::size_t>(size()), 0.0);
   }
+  c.dslots[static_cast<std::size_t>(rank_)] = value;
   if (++c.arrived == size()) {
-    c.dresult = c.dvalue;
+    // Fold in rank order, as allgather orders its slots: a floating-point
+    // sum must not depend on which rank thread arrived first.
+    c.dresult = c.dslots[0];
+    for (std::size_t r = 1; r < c.dslots.size(); ++r) {
+      c.dresult = combine(op, c.dresult, c.dslots[r]);
+    }
     c.publish_time();
     c.arrived = 0;
     ++c.generation;
@@ -189,15 +199,8 @@ std::int64_t Communicator::allreduce(std::int64_t value, ReduceOp op) {
   std::unique_lock<std::mutex> lock(c.mutex);
   const std::uint64_t generation = c.generation;
   c.fold_time(c.arrived == 0, my_time);
-  if (c.arrived == 0) {
-    c.ivalue = value;
-  } else {
-    switch (op) {
-      case ReduceOp::kMin: c.ivalue = std::min(c.ivalue, value); break;
-      case ReduceOp::kMax: c.ivalue = std::max(c.ivalue, value); break;
-      case ReduceOp::kSum: c.ivalue += value; break;
-    }
-  }
+  // Integer reductions are order-free: fold in arrival order.
+  c.ivalue = c.arrived == 0 ? value : combine(op, c.ivalue, value);
   if (++c.arrived == size()) {
     c.iresult = c.ivalue;
     c.publish_time();

@@ -100,7 +100,12 @@ class Communicator {
   /// serially re-paying the wire time as the synchronous model does.
   /// Collectives become rendezvous points that synchronise every rank's
   /// virtual time to the latest arrival.
-  void set_clock(vgpu::SimClock* clock) { clock_ = clock; }
+  ///
+  /// Null restores the communicator's own clock: an owner whose clock
+  /// dies before the communicator must hand it back this way.
+  void set_clock(vgpu::SimClock* clock) {
+    clock_ = clock != nullptr ? clock : &owned_clock_;
+  }
   vgpu::SimClock& clock() { return *clock_; }
 
   /// Attaches a fault plan consulted on every send (util/fault.hpp):
@@ -231,7 +236,7 @@ class World {
     /// under the mutex, before notifying).
     void publish_time() { tmax_result = tmax; }
 
-    double dvalue = 0.0;
+    std::vector<double> dslots;  ///< per-rank contributions, by rank
     std::int64_t ivalue = 0;
     double dresult = 0.0;
     std::int64_t iresult = 0;

@@ -34,11 +34,8 @@
 //
 // Schedules describe their transactions through TransferDelegate
 // (geometry once at compile time, endpoint binding each execute); the
-// engine owns all marshalling. Data kinds that cannot export device
-// views (host arrays, spilled device arrays) — or a context with
-// compiled_transfer disabled — run the per-transaction legacy path built
-// on PatchData::pack_stream/unpack_stream/copy, kept for differential
-// testing and as the wire-compatible fallback.
+// engine owns all marshalling, through the device views every PatchData
+// exports (PatchData::transfer_view).
 #pragma once
 
 #include <cstdint>
@@ -55,12 +52,9 @@
 
 namespace ramr::xfer {
 
-/// Exact bytes a depth-`depth` double-array PatchData packs for
+/// Exact payload bytes of a depth-`depth` double-array transaction over
 /// `overlap` — the shared sizing rule both endpoints of a transaction
-/// apply to the replicated overlap metadata. Every current PatchData
-/// kind can_estimate_stream_size_from_box(), so this equals its
-/// data_stream_size(); the engine's packed-size REQUIRE catches any
-/// future kind that diverges.
+/// apply to the replicated overlap metadata.
 inline std::size_t overlap_stream_size(const pdat::BoxOverlap& overlap,
                                        int depth) {
   return static_cast<std::size_t>(overlap.element_count()) *
@@ -152,9 +146,9 @@ class TransferSchedule {
   /// Equivalent to execute_begin() + execute_finish().
   void execute(TransferDelegate& delegate);
 
-  /// Split-phase execution, compiled-plan path: execute_begin() posts
-  /// every receive, issues the fused pack launches + one isend per peer
-  /// message, and runs the local-copy apply (snapshot included) — under
+  /// Split-phase execution: execute_begin() posts every receive, issues
+  /// the fused pack launches + one isend per peer message, and runs the
+  /// local-copy apply (snapshot included) — under
   /// an attached timeline (ParallelContext::timeline) all of it on the
   /// "comm" lane, with the wire legs on the network lane, so everything
   /// the caller runs before execute_finish() overlaps the communication.
@@ -166,8 +160,8 @@ class TransferSchedule {
   /// — only the modeled timestamps differ — so split and single-phase
   /// execution are bit-identical by construction. The caller must not
   /// touch data the exchange reads or writes between begin and finish.
-  /// The legacy per-transaction path cannot split: begin runs the whole
-  /// exchange synchronously and finish only clears the in-flight state.
+  /// An exchange with no transaction on this rank is a no-op: neither
+  /// call touches a stream, lane or timeline.
   void execute_begin(TransferDelegate& delegate);
   void execute_finish();
 
@@ -191,7 +185,7 @@ class TransferSchedule {
   // -- Compiled-plan observability (tests, benches) ----------------------
 
   /// True once finalize() has compiled the transfer plans.
-  bool plans_compiled() const { return plans_compiled_; }
+  bool plans_compiled() const { return finalized_; }
 
   /// Total clipped segments across all compiled plans.
   std::size_t plan_segment_count() const {
@@ -207,9 +201,8 @@ class TransferSchedule {
     return n;
   }
 
-  /// How many executes ran the compiled / legacy path.
-  std::uint64_t compiled_executions() const { return compiled_executions_; }
-  std::uint64_t legacy_executions() const { return legacy_executions_; }
+  /// Executes that ran the plans (no-op exchanges are not counted).
+  std::uint64_t executions() const { return executions_; }
 
  private:
   /// All transactions flowing between this rank and one peer, in plan
@@ -275,12 +268,11 @@ class TransferSchedule {
   };
 
   void compile_plans();
-  bool bind(TransferDelegate& delegate);
+  void bind(TransferDelegate& delegate);
   void build_device_parts();
   void execute_compiled_begin();
   void execute_compiled_finish();
   void execute_local_plan(vgpu::Timeline* tl, int comm_lane);
-  void execute_legacy();
   /// Forks `dev`'s per-device transfer lane from the comm lane's cursor
   /// and remembers it for the closing join (multi-device ranks: each
   /// device's plan partitions serialize on their own lane, not on the
@@ -299,13 +291,14 @@ class TransferSchedule {
   std::uint64_t bytes_sent_ = 0;
 
   // Compiled plans (geometry only; views rebind each execute).
-  bool plans_compiled_ = false;
   std::map<int, Plan> pack_plans_;    ///< keyed by destination rank
   std::map<int, Plan> unpack_plans_;  ///< keyed by source rank
   Plan local_plan_;
 
   // Per-execute state.
   std::vector<TransferEndpoints> bindings_;
+  /// Device of the first bound endpoint; null when no transaction
+  /// involves this rank (the exchange is then a no-op).
   vgpu::Device* plan_device_ = nullptr;
   /// Endpoints span several devices of the rank's topology; the compiled
   /// plans execute through the per-device partitions below.
@@ -316,12 +309,10 @@ class TransferSchedule {
   std::vector<DevicePart> local_staged_parts_;
   std::vector<PeerPart> local_peer_parts_;
   std::vector<std::int64_t> peer_offset_;  ///< per local op, doubles
-  std::uint64_t compiled_executions_ = 0;
-  std::uint64_t legacy_executions_ = 0;
+  std::uint64_t executions_ = 0;
 
   // Split-phase in-flight state (execute_begin .. execute_finish).
   bool in_flight_ = false;
-  bool flight_compiled_ = false;
   std::map<int, simmpi::Request> flight_recvs_;
   std::vector<pdat::MessageStream> flight_send_streams_;
   std::vector<simmpi::Request> flight_sends_;

@@ -5,7 +5,9 @@
 // region semantics, and the to_json round trip.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -74,6 +76,24 @@ TEST(Json, DumpParseRoundTripIsExact) {
   const Json parsed = Json::parse(doc);
   EXPECT_EQ(Json::parse(parsed.dump()), parsed);
   EXPECT_EQ(Json::parse(parsed.dump(-1)), parsed);  // compact form too
+}
+
+TEST(Json, NonFiniteNumbersDumpAsNull) {
+  // JSON has no NaN or infinity literal: a diverged run's totals must
+  // still serialize to a parseable document.
+  Json doc = Json::make_object();
+  doc.set("nan", Json(std::nan("")));
+  doc.set("inf", Json(-std::numeric_limits<double>::infinity()));
+  doc.set("finite", Json(1.5));
+  for (const int indent : {2, -1}) {
+    const Json back = Json::parse(doc.dump(indent));
+    EXPECT_TRUE(back.find("nan")->is_null());
+    EXPECT_TRUE(back.find("inf")->is_null());
+    EXPECT_EQ(back.find("finite")->as_number(), 1.5);
+  }
+  // The in-memory values are unchanged.
+  EXPECT_TRUE(std::isnan(doc.find("nan")->as_number()));
+  EXPECT_TRUE(std::isinf(doc.find("inf")->as_number()));
 }
 
 TEST(Json, TypeMismatchNamesActualType) {
@@ -181,7 +201,6 @@ TEST(Config, EmptyDocumentYieldsTodaysDefaults) {
   EXPECT_EQ(c.sim.min_patch_size, def.min_patch_size);
   EXPECT_DOUBLE_EQ(c.sim.cluster_efficiency, def.cluster_efficiency);
   EXPECT_EQ(c.sim.batched_launch, def.batched_launch);
-  EXPECT_EQ(c.sim.compiled_transfer, def.compiled_transfer);
   EXPECT_EQ(c.sim.async_overlap, def.async_overlap);
   EXPECT_EQ(c.sim.wide_overlap, def.wide_overlap);
   EXPECT_EQ(c.sim.device.name, def.device.name);
@@ -273,8 +292,7 @@ TEST(Config, ToJsonRoundTripsEveryField) {
       "  \"max_patch_cells\": 1024, \"min_patch_size\": 4,"
       "  \"cluster_efficiency\": 0.5},"
       " \"execution\": {\"batched_launch\": false,"
-      "  \"compiled_transfer\": false, \"async_overlap\": true,"
-      "  \"wide_overlap\": false},"
+      "  \"async_overlap\": true, \"wide_overlap\": false},"
       " \"device\": {\"preset\": \"opteron_6274_node\","
       "  \"peak_gflops\": 100.0},"
       " \"network\": {\"preset\": \"cray_gemini\", \"latency_s\": 2e-6},"

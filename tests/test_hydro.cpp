@@ -54,6 +54,42 @@ TEST_F(KernelTest, IdealGasEquationOfState) {
   EXPECT_NEAR(cc[2 * 12 + 2], expect_c, 1e-14);
 }
 
+TEST_F(KernelTest, FieldSummaryIsIndependentOfThreadScheduling) {
+  // Cell masses spanning 16 orders of magnitude make the floating-point
+  // sums depend on their association order. The summary combines
+  // fixed-size blocks in block order, so repeated reductions over the
+  // same data agree bit for bit however the pool schedules its chunks.
+  const Box box(0, 0, 255, 255);
+  const CellGeom g{0.1, 0.1};
+  CudaCellData rho(dev_, box, IntVector(0, 0));
+  CudaCellData e(dev_, box, IntVector(0, 0));
+  CudaNodeData u(dev_, box, IntVector(0, 0));
+  CudaNodeData v(dev_, box, IntVector(0, 0));
+  const util::View r = rho.device_view();
+  const util::View uv = u.device_view();
+  for (int j = 0; j <= 256; ++j) {
+    for (int i = 0; i <= 256; ++i) {
+      if (i < 256 && j < 256) {
+        r(i, j) = std::pow(10.0, (7 * i + 3 * j) % 17 - 8);
+      }
+      uv(i, j) = 0.1 * ((i + 2 * j) % 5);
+    }
+  }
+  e.fill(1.5);
+  v.fill(0.25);
+  const auto summary = [&] {
+    return field_summary(dev_, stream_, box, g, rho.device_view(),
+                         e.device_view(), u.device_view(), v.device_view());
+  };
+  const FieldSummary first = summary();
+  for (int repeat = 0; repeat < 30; ++repeat) {
+    const FieldSummary again = summary();
+    ASSERT_EQ(again.mass, first.mass) << "repeat " << repeat;
+    ASSERT_EQ(again.internal_energy, first.internal_energy);
+    ASSERT_EQ(again.kinetic_energy, first.kinetic_energy);
+  }
+}
+
 TEST_F(KernelTest, ViscosityZeroInUniformFlow) {
   const Box box(0, 0, 7, 7);
   const CellGeom g{0.1, 0.1};

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "simmpi/communicator.hpp"
@@ -144,6 +146,37 @@ TEST(Communicator, AllreduceMinMaxSum) {
     const std::int64_t imine = comm.rank();
     EXPECT_EQ(comm.allreduce(imine, ReduceOp::kSum), 21);
   });
+}
+
+TEST(Communicator, AllreduceSumIsIndependentOfArrivalOrder) {
+  // (1e16 + -1e16) + 1 = 1, but (1 + -1e16) + 1e16 = 0: the sum depends
+  // on association. The ranks enter the collective in forward and then
+  // in reverse rank order (a token chain, each rank waiting a moment
+  // after its predecessor); both runs must return the rank-order fold.
+  const double values[3] = {1.0e16, -1.0e16, 1.0};
+  const double rank_order = (values[0] + values[1]) + values[2];
+  ASSERT_NE(rank_order, (values[2] + values[1]) + values[0]);
+  for (const bool reverse : {false, true}) {
+    SCOPED_TRACE(reverse ? "reverse arrival" : "forward arrival");
+    double results[3] = {0.0, 0.0, 0.0};
+    World world(3, ideal_network());
+    world.run([&](Communicator& comm) {
+      const int r = comm.rank();
+      const int step = reverse ? -1 : 1;
+      const int first = reverse ? 2 : 0;
+      if (r != first) {
+        comm.recv_value<int>(r - step, 1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      if (r != 2 - first) {
+        comm.send_value(r + step, 1, 0);
+      }
+      results[r] = comm.allreduce(values[r], ReduceOp::kSum);
+    });
+    for (const double got : results) {
+      EXPECT_EQ(got, rank_order);
+    }
+  }
 }
 
 TEST(Communicator, RepeatedCollectivesStayInSync) {

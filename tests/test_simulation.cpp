@@ -259,6 +259,29 @@ TEST(Simulation, DistributedMatchesSerial) {
   }
 }
 
+TEST(Simulation, CommunicatorGetsItsOwnClockBackOnDestruction) {
+  // A Simulation charges network time to its own clock through the
+  // communicator. The communicator outlives it (it belongs to the
+  // World::run body), so destruction must hand the communicator back
+  // its own clock: a collective afterwards charges live memory.
+  SimulationConfig cfg = small_sod();
+  cfg.max_levels = 1;
+  simmpi::World world(2, simmpi::ideal_network());
+  world.run([&](simmpi::Communicator& comm) {
+    const vgpu::SimClock* sim_clock = nullptr;
+    {
+      Simulation sim(cfg, &comm);
+      sim.initialize();
+      sim_clock = &sim.clock();
+      EXPECT_EQ(&comm.clock(), sim_clock);
+    }
+    EXPECT_NE(&comm.clock(), sim_clock);
+    const double before = comm.clock().total();
+    EXPECT_EQ(comm.allreduce(1.0, simmpi::ReduceOp::kSum), 2.0);
+    EXPECT_GT(comm.clock().total(), before);
+  });
+}
+
 TEST(Simulation, ClockRecordsAllComponents) {
   Simulation sim(small_sod(), nullptr);
   sim.initialize();

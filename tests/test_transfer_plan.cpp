@@ -1,12 +1,13 @@
 // Compiled transfer plans (xfer::TransferSchedule): plan compilation and
 // caching, fused launch budgets (pack launches == messages sent, unpack
 // launches == messages received, one local-copy launch per exchange),
-// bit-exactness against the per-transaction legacy path over full runs
-// with regrids, and plan-cache invalidation on schedule rebuild.
+// ghost values against an analytic oracle for every centring, seam
+// snapshot semantics, and plan-cache invalidation on schedule rebuild.
+// Whole-run bit-exactness is pinned by the committed field hashes
+// (test_field_hashes.cpp).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstring>
+#include <functional>
 
 #include "app/simulation.hpp"
 #include "geom/refine_operators.hpp"
@@ -115,9 +116,8 @@ TEST(TransferPlan, PlansCompileOnFinalizeAndCacheAcrossExecutes) {
 
   sched->fill();
   sched->fill();
-  // Both executes ran the compiled path against the SAME cached plan.
-  EXPECT_EQ(engine.compiled_executions(), 2u);
-  EXPECT_EQ(engine.legacy_executions(), 0u);
+  // Both executes ran against the SAME cached plan.
+  EXPECT_EQ(engine.executions(), 2u);
   EXPECT_EQ(engine.plan_segment_count(), segments);
   // Repeated fills are idempotent on already-exchanged data.
   EXPECT_DOUBLE_EQ(f.at(*level0->local_patch(0), 8, 3), -3.0 * 8 + 3);
@@ -202,55 +202,74 @@ TEST(TransferPlan, PackUnpackLaunchesEqualMessageCounts) {
   });
 }
 
-TEST(TransferPlan, CompiledMatchesLegacyGhostsBitwise) {
-  // Same fixture, same data: one fill through the compiled plans, one
-  // through the per-transaction legacy path (ctx.compiled_transfer off);
-  // every value of every component must match bit for bit — including
-  // the node-seam overlaps the compiler clips to last-writer-wins.
-  for (const Centering centering : {Centering::kCell, Centering::kNode,
-                                    Centering::kSide}) {
-    Fixture compiled(centering);
-    Fixture legacy(centering);
-    legacy.ctx.compiled_transfer = false;
-    for (Fixture* f : {&compiled, &legacy}) {
-      auto level0 = f->hierarchy.level_ptr(0);
-      for (int gid : {0, 1}) {
-        f->fill(*level0->local_patch(gid), [gid](int i, int j) {
-          return std::sin(0.3 * i) * (gid + 1.0) + 0.02 * j;
-        });
-        f->fill(*level0->local_patch(gid), [gid](int i, int j) {
-          return std::cos(0.2 * j) - gid * i;
-        }, f->var2);
-      }
-      RefineAlgorithm alg;
-      alg.add(RefineItem{f->var, nullptr});
-      alg.add(RefineItem{f->var2, nullptr});
-      auto sched = alg.create_schedule(level0, level0, nullptr,
-                                       f->hierarchy.variables(), f->ctx,
-                                       nullptr, FillMode::kGhostsOnly);
-      sched->fill();
-      if (f == &compiled) {
-        EXPECT_EQ(sched->same_level_engine().compiled_executions(), 1u);
-      } else {
-        EXPECT_EQ(sched->same_level_engine().legacy_executions(), 1u);
+TEST(TransferPlan, GhostsMatchAnalyticOracle) {
+  // Every element of each patch starts as a known function of (variable,
+  // patch, component, i, j), ghosts included. After one same-level
+  // exchange, every element inside the NEIGHBOUR's interior (in the
+  // component's index space) must hold the neighbour's value — seam
+  // lines included, which take the neighbour's pre-exchange value (see
+  // SeamReadsSnapshotPreExchangeValues) — and every other element must
+  // be untouched. Serially the local-copy plan moves the data; on two
+  // ranks the pack and unpack plans do.
+  const auto value = [](int which, int gid) {
+    return [which, gid](int i, int j) {
+      return 1.0e4 * which + 100.0 * gid + i + 0.01 * j;
+    };
+  };
+  const Box interiors[2] = {Box(0, 0, 7, 7), Box(8, 0, 15, 7)};
+  const auto run = [&](Centering centering, int world,
+                       simmpi::Communicator* comm, int rank) {
+    Fixture f(centering, rank, world, comm);
+    auto level0 = f.hierarchy.level_ptr(0);
+    for (int gid : {0, 1}) {
+      if (auto p = level0->local_patch(gid)) {
+        f.fill(*p, value(0, gid), f.var);
+        f.fill(*p, value(1, gid), f.var2);
       }
     }
+    RefineAlgorithm alg;
+    alg.add(RefineItem{f.var, nullptr});
+    alg.add(RefineItem{f.var2, nullptr});
+    auto sched = alg.create_schedule(level0, level0, nullptr,
+                                     f.hierarchy.variables(), f.ctx, nullptr,
+                                     FillMode::kGhostsOnly);
+    sched->fill();
     for (int gid : {0, 1}) {
-      auto pc = compiled.hierarchy.level_ptr(0)->local_patch(gid);
-      auto pl = legacy.hierarchy.level_ptr(0)->local_patch(gid);
-      for (int which : {compiled.var, compiled.var2}) {
-        auto& cc = pc->typed_data<CudaData>(which);
-        auto& cl = pl->typed_data<CudaData>(which);
-        for (int k = 0; k < cc.components(); ++k) {
-          const auto a = cc.component(k).download_plane();
-          const auto b = cl.component(k).download_plane();
-          ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
-                    0)
-              << "centering " << static_cast<int>(centering) << " patch "
-              << gid << " var " << which << " comp " << k;
+      auto p = level0->local_patch(gid);
+      if (p == nullptr) {
+        continue;
+      }
+      const int other = 1 - gid;
+      for (int which : {0, 1}) {
+        auto& cd = p->typed_data<CudaData>(which == 0 ? f.var : f.var2);
+        for (int k = 0; k < cd.components(); ++k) {
+          const Box ib = cd.component(k).index_box();
+          const Box covered = mesh::to_centering(
+              interiors[other], mesh::component_centering(centering, k));
+          const auto plane = cd.component(k).download_plane();
+          std::int64_t mismatches = 0;
+          std::size_t n = 0;
+          for (int j = ib.lower().j; j <= ib.upper().j; ++j) {
+            for (int i = ib.lower().i; i <= ib.upper().i; ++i) {
+              const int src = covered.contains(IntVector(i, j)) ? other : gid;
+              mismatches += plane[n++] != value(which, src)(i, j) + 1000.0 * k;
+            }
+          }
+          EXPECT_EQ(mismatches, 0)
+              << "centering " << static_cast<int>(centering) << " ranks "
+              << world << " patch " << gid << " var " << which << " comp "
+              << k;
         }
       }
     }
+  };
+  for (const Centering centering : {Centering::kCell, Centering::kNode,
+                                    Centering::kSide}) {
+    run(centering, 1, nullptr, 0);
+    simmpi::World world(2, simmpi::ideal_network());
+    world.run([&](simmpi::Communicator& comm) {
+      run(centering, 2, &comm, comm.rank());
+    });
   }
 }
 
@@ -333,151 +352,58 @@ TEST(TransferPlan, RebuiltScheduleRecompilesPlans) {
                                    f.hierarchy.variables(), f.ctx, nullptr,
                                    FillMode::kGhostsOnly);
   first->fill();
-  EXPECT_EQ(first->same_level_engine().compiled_executions(), 1u);
+  EXPECT_EQ(first->same_level_engine().executions(), 1u);
 
   auto rebuilt = alg.create_schedule(level0, level0, nullptr,
                                      f.hierarchy.variables(), f.ctx, nullptr,
                                      FillMode::kGhostsOnly);
   EXPECT_TRUE(rebuilt->same_level_engine().plans_compiled());
-  EXPECT_EQ(rebuilt->same_level_engine().compiled_executions(), 0u);
+  EXPECT_EQ(rebuilt->same_level_engine().executions(), 0u);
   rebuilt->fill();
-  EXPECT_EQ(rebuilt->same_level_engine().compiled_executions(), 1u);
+  EXPECT_EQ(rebuilt->same_level_engine().executions(), 1u);
   EXPECT_DOUBLE_EQ(f.at(*level0->local_patch(0), 9, 2), 9 - 100.0 * 2);
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: compiled plans against the legacy path through full steps.
-
-app::SimulationConfig multi_patch_sod() {
-  app::SimulationConfig cfg;
-  cfg.problem = "sod";
-  cfg.nx = 64;
-  cfg.ny = 64;
-  cfg.max_levels = 3;
-  cfg.regrid_interval = 4;  // include regrids in the comparison window
-  cfg.max_patch_cells = 16 * 16;  // force many patches per level
-  cfg.min_patch_size = 8;
-  return cfg;
-}
-
-TEST(TransferPlan, BitIdenticalToLegacyAfterTenStepsWithRegrids) {
-  // Ten full steps crossing two regrids: every field of every patch must
-  // match the legacy per-transaction path bit for bit. Regrids rebuild
-  // the schedules, so this also covers plan-cache invalidation: stale
-  // plans on the new hierarchy would corrupt fields or throw.
-  app::SimulationConfig compiled_cfg = multi_patch_sod();
-  compiled_cfg.compiled_transfer = true;
-  app::SimulationConfig legacy_cfg = multi_patch_sod();
-  legacy_cfg.compiled_transfer = false;
-
-  app::Simulation compiled(compiled_cfg, nullptr);
-  app::Simulation legacy(legacy_cfg, nullptr);
-  compiled.initialize();
-  legacy.initialize();
-  compiled.run(10);
-  legacy.run(10);
-
-  ASSERT_EQ(compiled.hierarchy().num_levels(), legacy.hierarchy().num_levels());
-  ASSERT_DOUBLE_EQ(compiled.last_dt(), legacy.last_dt());
-  int patches_checked = 0;
-  for (int l = 0; l < compiled.hierarchy().num_levels(); ++l) {
-    hier::PatchLevel& lc = compiled.hierarchy().level(l);
-    hier::PatchLevel& ll = legacy.hierarchy().level(l);
-    ASSERT_EQ(lc.patch_count(), ll.patch_count());
-    for (const auto& pc : lc.local_patches()) {
-      const auto pl = ll.local_patch(pc->global_id());
-      ASSERT_NE(pl, nullptr);
-      ASSERT_EQ(pc->box(), pl->box());
-      ++patches_checked;
-      for (int id = 0; id < pc->data_count(); ++id) {
-        const auto& dc = pc->typed_data<CudaData>(id);
-        const auto& dl = pl->typed_data<CudaData>(id);
-        const Centering centering =
-            compiled.hierarchy().variables().variable(id).centering;
-        for (int k = 0; k < dc.components(); ++k) {
-          // Compare the patch interior in the component's index space:
-          // every stage rewrites it each step. (Ghost cells of
-          // non-communicated fields keep whatever the raw allocation
-          // held, which is not part of the bit-exactness contract.)
-          const Box region = mesh::to_centering(
-              pc->box(), mesh::component_centering(centering, k));
-          for (int d = 0; d < dc.component(k).depth(); ++d) {
-            const util::View vc = dc.device_view(k, d);
-            const util::View vl = dl.device_view(k, d);
-            std::int64_t mismatches = 0;
-            for (int j = region.lower().j; j <= region.upper().j; ++j) {
-              for (int i = region.lower().i; i <= region.upper().i; ++i) {
-                const double a = vc(i, j);
-                const double b = vl(i, j);
-                mismatches += std::memcmp(&a, &b, sizeof(double)) != 0;
-              }
-            }
-            ASSERT_EQ(mismatches, 0)
-                << "level " << l << " patch " << pc->global_id() << " var "
-                << id << " comp " << k << " depth " << d;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GT(patches_checked, 3);
-  const auto sc = compiled.composite_summary();
-  const auto sl = legacy.composite_summary();
-  EXPECT_DOUBLE_EQ(sc.mass, sl.mass);
-  EXPECT_DOUBLE_EQ(sc.internal_energy, sl.internal_energy);
-  EXPECT_DOUBLE_EQ(sc.kinetic_energy, sl.kinetic_energy);
-}
+// End-to-end launch budget.
 
 TEST(TransferPlan, StepLaunchBudgetOn512SodWithSmallPatches) {
   // The acceptance bar of the compiled-plan redesign: on the 3-level
-  // 512^2 Sod with <= 64^2 patches, per-step transfer-path launches drop
-  // from O(transactions) (thousands) to O(messages + 1) per exchange —
-  // serially: zero pack/unpack launches and at most one local-copy
-  // launch per engine execution, clipped-plan fusion notwithstanding.
-  auto run = [](bool compiled_path) {
-    app::SimulationConfig cfg;
-    cfg.problem = "sod";
-    cfg.nx = 512;
-    cfg.ny = 512;
-    cfg.max_levels = 3;
-    cfg.regrid_interval = 0;  // isolate the per-step budget
-    cfg.max_patch_cells = 64 * 64;
-    cfg.min_patch_size = 8;
-    cfg.compiled_transfer = compiled_path;
-    app::Simulation sim(cfg, nullptr);
-    sim.initialize();
-    sim.step();
-    const auto& dev = sim.device();
-    const std::uint64_t pack0 = dev.launch_count(LaunchTag::kTransferPack);
-    const std::uint64_t unpack0 = dev.launch_count(LaunchTag::kTransferUnpack);
-    const std::uint64_t copy0 = dev.launch_count(LaunchTag::kLocalCopy);
-    sim.step();
-    struct Counts {
-      std::uint64_t pack, unpack, copy;
-      std::size_t patches;
-    } c{dev.launch_count(LaunchTag::kTransferPack) - pack0,
-        dev.launch_count(LaunchTag::kTransferUnpack) - unpack0,
-        dev.launch_count(LaunchTag::kLocalCopy) - copy0, 0};
-    for (int l = 0; l < sim.hierarchy().num_levels(); ++l) {
-      c.patches += sim.hierarchy().level(l).patch_count();
-    }
-    return c;
-  };
-  const auto compiled = run(true);
-  const auto legacy = run(false);
-  ASSERT_GT(compiled.patches, 30u) << "config must produce many patches";
+  // 512^2 Sod with <= 64^2 patches, per-step transfer-path launches are
+  // O(messages + 1) per exchange rather than one per (transaction,
+  // component, box) — serially: zero pack/unpack launches and at most
+  // one local-copy launch per engine execution.
+  app::SimulationConfig cfg;
+  cfg.problem = "sod";
+  cfg.nx = 512;
+  cfg.ny = 512;
+  cfg.max_levels = 3;
+  cfg.regrid_interval = 0;  // isolate the per-step budget
+  cfg.max_patch_cells = 64 * 64;
+  cfg.min_patch_size = 8;
+  app::Simulation sim(cfg, nullptr);
+  sim.initialize();
+  sim.step();
+  const auto& dev = sim.device();
+  const std::uint64_t pack0 = dev.launch_count(LaunchTag::kTransferPack);
+  const std::uint64_t unpack0 = dev.launch_count(LaunchTag::kTransferUnpack);
+  const std::uint64_t copy0 = dev.launch_count(LaunchTag::kLocalCopy);
+  sim.step();
+  std::size_t patches = 0;
+  for (int l = 0; l < sim.hierarchy().num_levels(); ++l) {
+    patches += sim.hierarchy().level(l).patch_count();
+  }
+  ASSERT_GT(patches, 30u) << "config must produce many patches";
   // Serial: no messages, so no pack/unpack launches at all.
-  EXPECT_EQ(compiled.pack, 0u);
-  EXPECT_EQ(compiled.unpack, 0u);
+  EXPECT_EQ(dev.launch_count(LaunchTag::kTransferPack) - pack0, 0u);
+  EXPECT_EQ(dev.launch_count(LaunchTag::kTransferUnpack) - unpack0, 0u);
   // One step executes 7 refine fill groups x 3 levels (each at most two
   // engine exchanges: same-level + coarse gather) plus 2 syncs: at most
   // one fused local-copy launch each, plus one snapshot-gather launch
   // where node/side seam reads alias writes.
-  EXPECT_LE(compiled.copy, 2u * (7u * 3u * 2u + 2u));
-  EXPECT_GT(compiled.copy, 0u);
-  // The legacy path pays one launch per (transaction, component, box):
-  // orders of magnitude more on a many-patch hierarchy.
-  EXPECT_GT(legacy.copy, 100u * compiled.copy);
+  const std::uint64_t copies = dev.launch_count(LaunchTag::kLocalCopy) - copy0;
+  EXPECT_LE(copies, 2u * (7u * 3u * 2u + 2u));
+  EXPECT_GT(copies, 0u);
 }
 
 }  // namespace
