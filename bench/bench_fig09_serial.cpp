@@ -10,10 +10,9 @@
 // Method: each configuration runs a short real simulation (every kernel,
 // halo exchange and regrid actually executes); the machine model
 // accumulates modeled time per step, which is scaled to the paper's 1000
-// steps. The fused per-level launch batching (docs/kernel_batching.md)
-// is on by default; the ablation block at the end re-runs one
-// configuration with per-patch launches to show the batching win
-// directly. Set RAMR_BENCH_FAST=1 to drop the two largest sizes.
+// steps. Every stage runs as one fused launch per level
+// (docs/kernel_batching.md). Set RAMR_BENCH_FAST=1 to drop the two
+// largest sizes.
 //
 // Emits BENCH_fig09.json (modeled s/step, launches/step, PCIe bytes/step
 // per configuration) for CI perf tracking.
@@ -36,9 +35,7 @@ struct Result {
   double kernel_s_per_step = 0.0;   ///< modeled kernel seconds / timestep
 };
 
-Result run_backend(int n, const ramr::vgpu::DeviceSpec& spec,
-                   bool batched = true,
-                   std::int64_t max_patch_cells = 512 * 512) {
+Result run_backend(int n, const ramr::vgpu::DeviceSpec& spec) {
   ramr::app::SimulationConfig cfg;
   cfg.problem = "sod";
   cfg.nx = n;
@@ -46,10 +43,9 @@ Result run_backend(int n, const ramr::vgpu::DeviceSpec& spec,
   cfg.max_levels = 3;
   cfg.ratio = 2;
   cfg.regrid_interval = 10;
-  cfg.max_patch_cells = max_patch_cells;
+  cfg.max_patch_cells = 512 * 512;
   cfg.min_patch_size = 16;
   cfg.device = spec;
-  cfg.batched_launch = batched;
   // Large problems exceed one modeled K20x (the paper's 6.4M-zone case
   // fills most of the 6 GB card); keep the model but uncap failure by
   // allowing spill, which the paper lists as future work. We instead
@@ -129,26 +125,6 @@ int main() {
                 large_speedup.max());
   }
 
-  // Batching ablation: 3-level 512^2 Sod decomposed into many small
-  // (<= 64^2) patches — the launch-overhead-bound regime — with
-  // per-patch launches (one kernel per patch per stage, the pre-batching
-  // structure) against the default fused per-level launches.
-  const int abl_n = 512;
-  const std::int64_t abl_patch_cells = 64 * 64;
-  const Result fused =
-      run_backend(abl_n, m.gpu_spec, /*batched=*/true, abl_patch_cells);
-  const Result per_patch =
-      run_backend(abl_n, m.gpu_spec, /*batched=*/false, abl_patch_cells);
-  std::printf(
-      "\nBatching ablation (K20x, 3-level %d^2 Sod, <=64^2 patches):\n"
-      "  fused      %6.0f launches/step  %.4f s/step\n"
-      "  per-patch  %6.0f launches/step  %.4f s/step\n"
-      "  -> %.2fx step speedup, %.1fx fewer launches\n",
-      abl_n, fused.launches_per_step, fused.seconds_1000 / 1000.0,
-      per_patch.launches_per_step, per_patch.seconds_1000 / 1000.0,
-      per_patch.seconds_1000 / fused.seconds_1000,
-      per_patch.launches_per_step / fused.launches_per_step);
-
   // Machine-readable record for CI perf tracking.
   if (FILE* json = std::fopen("BENCH_fig09.json", "w")) {
     std::fprintf(json, "{\n  \"configs\": [\n");
@@ -166,14 +142,7 @@ int main() {
           gpu.kernel_s_per_step, gpu.pcie_bytes_per_step, gpu.pcie_per_step,
           c + 1 < all.size() ? "," : "");
     }
-    std::fprintf(json,
-                 "  ],\n  \"ablation\": {\"n\": %d, \"fused_s_per_step\": "
-                 "%.6e, \"per_patch_s_per_step\": %.6e, "
-                 "\"fused_launches_per_step\": %.1f, "
-                 "\"per_patch_launches_per_step\": %.1f}\n}\n",
-                 abl_n, fused.seconds_1000 / 1000.0,
-                 per_patch.seconds_1000 / 1000.0, fused.launches_per_step,
-                 per_patch.launches_per_step);
+    std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
     std::printf("wrote BENCH_fig09.json\n");
   }

@@ -216,6 +216,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> configs;
   std::string manifest;
   std::string metrics_out;
+  std::string print_config;
   int serve = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -239,10 +240,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (arg == "--print-config") {
-      const ramr::cfg::RunConfig config =
-          ramr::cfg::parse_run_config_text(read_file(next()));
-      std::printf("%s\n", ramr::cfg::to_json(config).dump().c_str());
-      return 0;
+      print_config = next();
     } else if (arg == "--list-problems") {
       for (const std::string& name :
            ramr::app::ProblemRegistry::instance().names()) {
@@ -259,17 +257,25 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (manifest.empty() ? configs.empty() : serve < 1) {
-    std::fprintf(stderr, manifest.empty()
-                             ? "error: no --config given\n"
-                             : "error: --manifest requires --serve\n");
-    return 2;
-  }
-  if (!metrics_out.empty() && serve < 1) {
-    std::fprintf(stderr, "error: --metrics-out requires --serve\n");
-    return 2;
-  }
   try {
+    // Parsed inside the try: a rejected config is an `error:` line and
+    // exit 1, like any other run.
+    if (!print_config.empty()) {
+      const ramr::cfg::RunConfig config =
+          ramr::cfg::parse_run_config_text(read_file(print_config));
+      std::printf("%s\n", ramr::cfg::to_json(config).dump().c_str());
+      return 0;
+    }
+    if (manifest.empty() ? configs.empty() : serve < 1) {
+      std::fprintf(stderr, manifest.empty()
+                               ? "error: no --config given\n"
+                               : "error: --manifest requires --serve\n");
+      return 2;
+    }
+    if (!metrics_out.empty() && serve < 1) {
+      std::fprintf(stderr, "error: --metrics-out requires --serve\n");
+      return 2;
+    }
     if (serve > 0) {
       return run_server(serve, configs, manifest, metrics_out);
     }

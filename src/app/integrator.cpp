@@ -14,13 +14,12 @@ using xfer::FillMode;
 using xfer::RefineItem;
 
 LagrangianEulerianIntegrator::LagrangianEulerianIntegrator(
-    hier::PatchHierarchy& hierarchy,
-    LagrangianEulerianLevelIntegrator& level_integrator,
+    hier::PatchHierarchy& hierarchy, LevelKernelRunner& runner,
     amr::GriddingAlgorithm& gridding, const Fields& fields,
     xfer::ParallelContext& ctx, ReflectiveBoundary& bc, vgpu::SimClock& clock,
     int regrid_interval)
     : hierarchy_(&hierarchy),
-      li_(&level_integrator),
+      runner_(&runner),
       gridding_(&gridding),
       fields_(fields),
       ctx_(&ctx),
@@ -143,9 +142,8 @@ bool LagrangianEulerianIntegrator::wide_overlap_active() const {
   // The stage splits pay a launch/occupancy premium per sub-stage; with
   // no remote peers there is no wire to buy back, so a 1-rank world
   // keeps the single-window shape (local-copy time already hides behind
-  // EOS at zero extra cost). Interior/rind parts need the batched route.
-  return ctx_->timeline != nullptr && ctx_->wide_overlap && li_->batched() &&
-         !ctx_->is_serial();
+  // EOS at zero extra cost).
+  return ctx_->timeline != nullptr && ctx_->wide_overlap && !ctx_->is_serial();
 }
 
 double LagrangianEulerianIntegrator::overlap_saved_now() const {
@@ -234,14 +232,21 @@ double LagrangianEulerianIntegrator::advance() {
   // time drops (docs/async_overlap.md).
   const bool split_phase = ctx_->timeline != nullptr;
   const bool wide = wide_overlap_active();
+  LevelKernelRunner& run = *runner_;
+  // Runs `body(level, geometry)` on every level, coarse to fine.
+  const auto each_level = [&](auto&& body) {
+    for (int l = 0; l < levels; ++l) {
+      body(h.level(l), geom_of(h.level(l)));
+    }
+  };
   double dt = std::numeric_limits<double>::infinity();
   const auto compute_dt_all = [&]() {
     vgpu::AnnotationScope annotation(clock_, "stage:timestep");
     vgpu::ComponentScope scope(*clock_, "timestep");
     vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
-    for (int l = 0; l < levels; ++l) {
-      dt = std::min(dt, li_->compute_dt(h.level(l)));
-    }
+    each_level([&](auto& l, const auto& g) {
+      dt = std::min(dt, run.compute_dt(l, g));
+    });
     if (ctx_->comm != nullptr) {
       dt = ctx_->comm->allreduce(dt, simmpi::ReduceOp::kMin);
     }
@@ -250,9 +255,7 @@ double LagrangianEulerianIntegrator::advance() {
     vgpu::AnnotationScope annotation(clock_, "stage:hydro");
     vgpu::ComponentScope scope(*clock_, "hydro");
     vgpu::LaunchTagScope launch_tag(ctx_->device, tag);
-    for (int l = 0; l < levels; ++l) {
-      body(h.level(l));
-    }
+    each_level(body);
   };
   const auto boundary = [&](auto&& body) {
     vgpu::ComponentScope scope(*clock_, "boundary");
@@ -271,8 +274,9 @@ double LagrangianEulerianIntegrator::advance() {
       const double saved0 = overlap_saved_now();
       const double comm0 = comm_busy_now();
       boundary([&] { begin_all(sched_state_); });
-      hydro_stage(vgpu::LaunchTag::kHydro,
-                  [&](hier::PatchLevel& l) { li_->stage_eos(l); });
+      hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+        run.ideal_gas(l, g, /*predict=*/false);
+      });
       boundary([&] { finish_all(sched_state_, Window::kState); });
       xfer_counters_.window[Window::kState].overlap_seconds_saved +=
           overlap_saved_now() - saved0;
@@ -282,9 +286,9 @@ double LagrangianEulerianIntegrator::advance() {
     // First pressure window: hidden behind the viscosity interior.
     fill_window(Window::kPressure, sched_pressure_,
                 [&](SweepPart part) {
-                  for (int l = 0; l < levels; ++l) {
-                    li_->stage_viscosity(h.level(l), part);
-                  }
+                  each_level([&](auto& l, const auto& g) {
+                    run.viscosity(l, g, part);
+                  });
                 });
     // Viscosity window: neither the timestep reduction (allreduce
     // included) nor the Lagrangian predictor reads any ghost, so the
@@ -296,8 +300,9 @@ double LagrangianEulerianIntegrator::advance() {
       const double comm0 = comm_busy_now();
       boundary([&] { begin_all(sched_viscosity_); });
       compute_dt_all();
-      hydro_stage(vgpu::LaunchTag::kHydro, [&](hier::PatchLevel& l) {
-        li_->stage_pdv_predict(l, dt);
+      hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+        run.pdv(l, g, dt, /*predict=*/true);
+        run.ideal_gas(l, g, /*predict=*/true);
       });
       boundary([&] { finish_all(sched_viscosity_, Window::kViscosity); });
       xfer_counters_.window[Window::kViscosity].overlap_seconds_saved +=
@@ -311,11 +316,11 @@ double LagrangianEulerianIntegrator::advance() {
     // (depths in hydro/kernels.cpp) and which read no in-flight ghost.
     fill_window(Window::kPressure, sched_pressure_,
                 [&](SweepPart part) {
-                  for (int l = 0; l < levels; ++l) {
-                    li_->stage_accelerate(h.level(l), dt, part);
-                    li_->stage_pdv_correct(h.level(l), dt, part);
-                    li_->stage_flux_calc(h.level(l), dt, part);
-                  }
+                  each_level([&](auto& l, const auto& g) {
+                    run.accelerate(l, g, dt, part);
+                    run.pdv(l, g, dt, /*predict=*/false, part);
+                    run.flux_calc(l, g, dt, part);
+                  });
                 });
   } else {
     // Single-window (PR-4) and synchronous shapes: only the state
@@ -331,8 +336,9 @@ double LagrangianEulerianIntegrator::advance() {
           fill_all(sched_state_, Window::kState);
         }
       });
-      hydro_stage(vgpu::LaunchTag::kHydro,
-                  [&](hier::PatchLevel& l) { li_->stage_eos(l); });
+      hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+        run.ideal_gas(l, g, /*predict=*/false);
+      });
       if (split_phase) {
         boundary([&] { finish_all(sched_state_, Window::kState); });
       }
@@ -341,59 +347,56 @@ double LagrangianEulerianIntegrator::advance() {
     }
     boundary([&] { fill_all(sched_pressure_, Window::kPressure); });
     hydro_stage(vgpu::LaunchTag::kHydro,
-                [&](hier::PatchLevel& l) { li_->stage_viscosity(l); });
+                [&](auto& l, const auto& g) { run.viscosity(l, g); });
     boundary([&] { fill_all(sched_viscosity_, Window::kViscosity); });
     compute_dt_all();
 
     // --- Lagrangian step ----------------------------------------------
-    hydro_stage(vgpu::LaunchTag::kHydro, [&](hier::PatchLevel& l) {
-      li_->stage_pdv_predict(l, dt);
+    hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+      run.pdv(l, g, dt, /*predict=*/true);
+      run.ideal_gas(l, g, /*predict=*/true);
     });
     boundary([&] { fill_all(sched_pressure_, Window::kPressure); });
-    hydro_stage(vgpu::LaunchTag::kHydro, [&](hier::PatchLevel& l) {
-      li_->stage_accelerate(l, dt);
+    hydro_stage(vgpu::LaunchTag::kHydro,
+                [&](auto& l, const auto& g) { run.accelerate(l, g, dt); });
+    hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+      run.pdv(l, g, dt, /*predict=*/false);
     });
-    hydro_stage(vgpu::LaunchTag::kHydro, [&](hier::PatchLevel& l) {
-      li_->stage_pdv_correct(l, dt);
-    });
-    hydro_stage(vgpu::LaunchTag::kHydro, [&](hier::PatchLevel& l) {
-      li_->stage_flux_calc(l, dt);
-    });
+    hydro_stage(vgpu::LaunchTag::kHydro,
+                [&](auto& l, const auto& g) { run.flux_calc(l, g, dt); });
   }
 
   // --- Advection (directional split, alternating order) ----------------
   const bool x_first = (step_count_ % 2) == 0;
   fill_window(Window::kPreAdvec, sched_preadvec_,
               [&](hydro::SweepPart part) {
-                for (int l = 0; l < levels; ++l) {
-                  li_->stage_advec_cell(h.level(l), x_first, 1, part);
-                }
+                each_level([&](auto& l, const auto& g) {
+                  run.advec_cell(l, g, x_first, 1, part);
+                });
               });
   fill_window(Window::kPostCell, sched_postcell_,
               [&](hydro::SweepPart part) {
-                for (int l = 0; l < levels; ++l) {
-                  li_->stage_advec_mom(h.level(l), x_first, 1, part);
-                }
+                each_level([&](auto& l, const auto& g) {
+                  run.advec_mom_both(l, g, x_first, 1, part);
+                });
               });
   {
     vgpu::ComponentScope scope(*clock_, "hydro");
     vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
-    for (int l = 0; l < levels; ++l) {
-      li_->stage_advec_cell(h.level(l), !x_first, 2);
-    }
+    each_level([&](auto& l, const auto& g) {
+      run.advec_cell(l, g, !x_first, 2);
+    });
   }
   fill_window(Window::kPostCell, sched_postcell_,
               [&](hydro::SweepPart part) {
-                for (int l = 0; l < levels; ++l) {
-                  li_->stage_advec_mom(h.level(l), !x_first, 2, part);
-                }
+                each_level([&](auto& l, const auto& g) {
+                  run.advec_mom_both(l, g, !x_first, 2, part);
+                });
               });
   {
     vgpu::ComponentScope scope(*clock_, "hydro");
     vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
-    for (int l = 0; l < levels; ++l) {
-      li_->stage_reset(h.level(l));
-    }
+    each_level([&](auto& l, const auto& g) { run.reset_field(l, g); });
   }
 
   // --- Synchronisation: fine solution replaces coarse -------------------
@@ -465,7 +468,7 @@ hydro::FieldSummary LagrangianEulerianIntegrator::composite_summary() {
   hier::PatchHierarchy& h = *hierarchy_;
   for (int l = 0; l < h.num_levels(); ++l) {
     hier::PatchLevel& level = h.level(l);
-    const hydro::CellGeom g = LagrangianEulerianLevelIntegrator::geom_of(level);
+    const hydro::CellGeom g = geom_of(level);
     // Cells covered by the finer level don't count (their fine values do).
     mesh::BoxList covered;
     if (h.has_level(l + 1)) {
@@ -477,8 +480,7 @@ hydro::FieldSummary LagrangianEulerianIntegrator::composite_summary() {
       mesh::BoxList uncovered(patch->box());
       uncovered.remove_intersections(covered);
       for (const mesh::Box& piece : uncovered.boxes()) {
-        const hydro::FieldSummary s =
-            li_->patch_integrator().field_summary(*patch, g, piece);
+        const hydro::FieldSummary s = runner_->field_summary(*patch, g, piece);
         total.mass += s.mass;
         total.internal_energy += s.internal_energy;
         total.kinetic_energy += s.kinetic_energy;

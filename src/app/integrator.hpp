@@ -1,10 +1,11 @@
 // LagrangianEulerianIntegrator (paper Fig. 6): manages the adaptive
 // hierarchy and advances the simulation. One advance() performs the
 // CloverLeaf timestep on every level (non-subcycled, as CleverLeaf),
-// with halo exchanges between stages, conservative fine-to-coarse
-// synchronisation afterwards, and periodic regridding — charging each
-// phase to the named clock components the paper's Fig. 11 reports
-// (hydro / boundary / timestep / sync / regrid).
+// each stage one LevelKernelRunner call per level (fused launches over
+// the level's patches), with halo exchanges between stages, conservative
+// fine-to-coarse synchronisation afterwards, and periodic regridding —
+// charging each phase to the named clock components the paper's Fig. 11
+// reports (hydro / boundary / timestep / sync / regrid).
 #pragma once
 
 #include <array>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "amr/gridding_algorithm.hpp"
-#include "app/level_integrator.hpp"
+#include "app/level_kernel_runner.hpp"
 #include "app/reflective_boundary.hpp"
 #include "hier/patch_hierarchy.hpp"
 #include "xfer/coarsen_schedule.hpp"
@@ -76,7 +77,7 @@ struct TransferCounters {
 class LagrangianEulerianIntegrator {
  public:
   LagrangianEulerianIntegrator(hier::PatchHierarchy& hierarchy,
-                               LagrangianEulerianLevelIntegrator& level_integrator,
+                               LevelKernelRunner& runner,
                                amr::GriddingAlgorithm& gridding,
                                const Fields& fields,
                                xfer::ParallelContext& ctx,
@@ -137,7 +138,7 @@ class LagrangianEulerianIntegrator {
                    const StageFn& stage);
 
   /// True when the widened overlap window is in effect: timeline
-  /// attached, wide_overlap requested, batched route, distributed world.
+  /// attached, wide_overlap requested, distributed world.
   bool wide_overlap_active() const;
 
   /// overlap_seconds_saved of the attached timeline (0 without one).
@@ -153,7 +154,7 @@ class LagrangianEulerianIntegrator {
   std::vector<amr::MeasuredDeviceCosts> measure_device_costs();
 
   hier::PatchHierarchy* hierarchy_;
-  LagrangianEulerianLevelIntegrator* li_;
+  LevelKernelRunner* runner_;
   amr::GriddingAlgorithm* gridding_;
   Fields fields_;
   xfer::ParallelContext* ctx_;

@@ -155,30 +155,6 @@ void LevelKernelRunner::advec_cell(hier::PatchLevel& level,
   });
 }
 
-void LevelKernelRunner::advec_mom(hier::PatchLevel& level,
-                                  const hydro::CellGeom& g, bool x_direction,
-                                  int sweep_number, bool x_velocity,
-                                  hydro::SweepPart part) {
-  const int mom_sweep = (x_direction ? 1 : 2) + 2 * (sweep_number - 1);
-  for_groups(level, [&](vgpu::Device& dev, vgpu::Stream& stream,
-                        const std::vector<hier::Patch*>& patches,
-                        const std::vector<mesh::Box>& boxes) {
-    const auto args =
-        gather_args<hydro::AdvecMomPatch>(patches, [&](hier::Patch& p) {
-          return hydro::AdvecMomPatch{
-              view(p, x_velocity ? f_.xvel1 : f_.yvel1), view(p, f_.density1),
-              view(p, f_.vol_flux, 0), view(p, f_.vol_flux, 1),
-              view(p, f_.mass_flux, 0), view(p, f_.mass_flux, 1),
-              view(p, f_.node_flux), view(p, f_.node_mass_post),
-              view(p, f_.node_mass_pre),
-              view(p, f_.mom_flux, 0, x_velocity ? 0 : 1),
-              view(p, f_.pre_vol), view(p, f_.post_vol)};
-        });
-    hydro::advec_mom_batched(dev, stream, boxes, g, x_direction, mom_sweep,
-                             args, part);
-  });
-}
-
 void LevelKernelRunner::advec_mom_both(hier::PatchLevel& level,
                                        const hydro::CellGeom& g,
                                        bool x_direction, int sweep_number,
@@ -234,6 +210,14 @@ void LevelKernelRunner::reset_field(hier::PatchLevel& level,
         });
     hydro::reset_field_batched(dev, stream, boxes, args, part);
   });
+}
+
+hydro::FieldSummary LevelKernelRunner::field_summary(hier::Patch& p,
+                                                     const hydro::CellGeom& g,
+                                                     const mesh::Box& region) {
+  return hydro::field_summary(*device_, stream_, region, g,
+                              view(p, f_.density0), view(p, f_.energy0),
+                              view(p, f_.xvel0), view(p, f_.yvel0));
 }
 
 }  // namespace ramr::app

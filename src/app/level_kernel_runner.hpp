@@ -1,12 +1,10 @@
-// Batched per-level kernel driver: gathers every local patch's views and
-// geometry once per stage and issues ONE fused launch per kernel
-// sub-stage per level (vgpu::Device::launch_batched), instead of the
-// per-patch launches of PatchIntegrator. A level with P patches pays one
-// launch overhead per sub-stage and an occupancy ramp computed from the
-// level's total thread count — the batched-launch approach of GPU AMR
-// frameworks (GAMER, Uintah) applied to the paper's resident step.
-// Results are bit-identical to the per-patch path: both routes share the
-// kernel bodies in hydro/kernels.cpp.
+// Per-level kernel driver: the route every CloverLeaf stage runs
+// through. A stage gathers every local patch's views and geometry once
+// and issues ONE fused launch per kernel sub-stage per level
+// (vgpu::Device::launch_batched). A level with P patches pays one launch
+// overhead per sub-stage and an occupancy ramp computed from the level's
+// total thread count — the batched-launch approach of GPU AMR frameworks
+// (GAMER, Uintah) applied to the paper's resident step.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +16,11 @@
 #include "vgpu/topology.hpp"
 
 namespace ramr::app {
+
+/// Uniform cell geometry of `level`'s patches.
+inline hydro::CellGeom geom_of(const hier::PatchLevel& level) {
+  return hydro::CellGeom{level.dx()[0], level.dx()[1]};
+}
 
 /// Fused per-level forms of the CloverLeaf timestep stages.
 class LevelKernelRunner {
@@ -35,7 +38,7 @@ class LevelKernelRunner {
         phys_(physics), topology_(topology) {}
 
   /// Minimum stable dt over the level: one fused reduction and ONE
-  /// scalar D2H readback per level (was one of each per patch).
+  /// scalar D2H readback per level.
   double compute_dt(hier::PatchLevel& level, const hydro::CellGeom& g);
 
   /// Every stage can sweep the full level (kAll), only the patch
@@ -55,32 +58,34 @@ class LevelKernelRunner {
   void advec_cell(hier::PatchLevel& level, const hydro::CellGeom& g,
                   bool x_direction, int sweep_number,
                   hydro::SweepPart part = hydro::SweepPart::kAll);
-  void advec_mom(hier::PatchLevel& level, const hydro::CellGeom& g,
-                 bool x_direction, int sweep_number, bool x_velocity,
-                 hydro::SweepPart part = hydro::SweepPart::kAll);
   /// Both velocity components of one momentum sweep in six fused
-  /// launches instead of twelve: the component-independent volumes /
-  /// node fluxes / node masses run ONCE (the per-component route
-  /// recomputes them bit-identically), and the per-component momentum
-  /// flux + velocity update fuse both components into one launch each
-  /// (each component writes its own vel1 and mom_flux plane, so the
-  /// fusion is race-free).
+  /// launches: the component-independent volumes / node fluxes / node
+  /// masses run once for both, and the per-component momentum flux +
+  /// velocity update fuse both components into one launch each (each
+  /// component writes its own vel1 and mom_flux plane, so the fusion is
+  /// race-free).
   void advec_mom_both(hier::PatchLevel& level, const hydro::CellGeom& g,
                       bool x_direction, int sweep_number,
                       hydro::SweepPart part = hydro::SweepPart::kAll);
   void reset_field(hier::PatchLevel& level, const hydro::CellGeom& g,
                    hydro::SweepPart part = hydro::SweepPart::kAll);
 
+  /// Mass / internal / kinetic energy over `region` of one patch: a
+  /// device reduction on the runner's own device and stream (composite
+  /// conservation diagnostics, outside the step).
+  hydro::FieldSummary field_summary(hier::Patch& p, const hydro::CellGeom& g,
+                                    const mesh::Box& region);
+
  private:
   util::View view(hier::Patch& p, int id, int comp = 0, int plane = 0) const;
 
   /// Calls `fn(device, stream, patches, boxes)` once per device group of
   /// the level's local patches. Single-device (or no topology): one call
-  /// on the runner's own device and stream — the legacy fused launch,
-  /// unchanged. Multi-device: groups by each patch's device ordinal; with
-  /// a timeline each group's lane forks from the caller's cursor (the
-  /// host issues a stage only after the previous one joined) and the
-  /// stage joins back at the slowest group's completion.
+  /// on the runner's own device and stream. Multi-device: groups by each
+  /// patch's device ordinal; with a timeline each group's lane forks from
+  /// the caller's cursor (the host issues a stage only after the previous
+  /// one joined) and the stage joins back at the slowest group's
+  /// completion.
   template <typename Fn>
   void for_groups(hier::PatchLevel& level, Fn&& fn) {
     if (topology_ == nullptr || topology_->device_count() <= 1) {

@@ -45,9 +45,6 @@ Simulation::Simulation(const SimulationConfig& config,
         static_cast<std::uint64_t>(comm != nullptr ? comm->rank() : 0));
     fault_plan_ = own_fault_plan_.get();
   }
-  RAMR_REQUIRE(config_.topology.device_count <= 1 || config_.batched_launch,
-               "a multi-device topology requires batched_launch "
-               "(per-device stage groups)");
   if (shared_device != nullptr) {
     // Service mode: ride the server's device and clock so K jobs share
     // one modeled accelerator (memory arena included) and one account of
@@ -73,10 +70,10 @@ Simulation::Simulation(const SimulationConfig& config,
     // integrator runs every halo exchange split-phase: the state
     // exchange around EOS, and — with wide_overlap (default) — the
     // remaining exchanges around the interior sweeps of their consumer
-    // stages (interior/rind requires the batched launch route).
+    // stages.
     timeline_ = std::make_unique<vgpu::Timeline>(*clock_);
     ctx_.timeline = timeline_.get();
-    ctx_.wide_overlap = config_.wide_overlap && config_.batched_launch;
+    ctx_.wide_overlap = config_.wide_overlap;
   }
   ctx_.comm = comm;
   ctx_.my_rank = comm != nullptr ? comm->rank() : 0;
@@ -112,15 +109,8 @@ Simulation::Simulation(const SimulationConfig& config,
   fields_ = Fields::register_all(hierarchy_->variables(), *device_);
   problem_ = make_problem(config_, fields_);
   bc_ = std::make_unique<ReflectiveBoundary>(fields_);
-  const hydro::Physics physics = problem_->physics();
-  patch_integrator_ =
-      std::make_unique<CudaPatchIntegrator>(*device_, fields_, physics);
-  if (config_.batched_launch) {
-    level_runner_ = std::make_unique<LevelKernelRunner>(
-        *device_, fields_, physics, ctx_.topology);
-  }
-  level_integrator_ = std::make_unique<LagrangianEulerianLevelIntegrator>(
-      *patch_integrator_, level_runner_.get());
+  level_runner_ = std::make_unique<LevelKernelRunner>(
+      *device_, fields_, problem_->physics(), ctx_.topology);
 
   amr::GriddingParams gp;
   gp.cluster.efficiency = config_.cluster_efficiency;
@@ -147,7 +137,7 @@ Simulation::Simulation(const SimulationConfig& config,
   gridding_->set_host_clock(clock_);
   gridding_->set_topology(ctx_.topology);
   integrator_ = std::make_unique<LagrangianEulerianIntegrator>(
-      *hierarchy_, *level_integrator_, *gridding_, fields_, ctx_, *bc_,
+      *hierarchy_, *level_runner_, *gridding_, fields_, ctx_, *bc_,
       *clock_, config_.regrid_interval);
 
   if (config_.observability != nullptr) {

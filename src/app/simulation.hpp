@@ -50,18 +50,13 @@ struct SimulationConfig {
   /// changes nothing; > 1 spreads the level's patches over the rank's
   /// devices, runs every stage as one fused launch per device and
   /// compiles cross-device halo copies onto the peer-link lanes
-  /// (docs/device_topology.md). Multi-device requires batched_launch;
-  /// speedup manifests under async_overlap (the synchronous model sums
-  /// charges across lanes).
+  /// (docs/device_topology.md). Speedup manifests under async_overlap
+  /// (the synchronous model sums charges across lanes).
   vgpu::TopologySpec topology;
   /// Patch-to-rank partitioning (kMorton default, kGreedy ablation,
   /// kMeasured = Morton ranks + measured per-device costs steering the
   /// patch-to-device assignment between regrids).
   amr::BalanceMethod balance_method = amr::BalanceMethod::kMorton;
-  /// Fused per-level kernel batching: one launch per kernel sub-stage
-  /// per level (default). Off = the per-patch launch structure of the
-  /// paper's original code; both produce bit-identical fields.
-  bool batched_launch = true;
   /// Async timeline model: attach a vgpu::Timeline to the rank clock and
   /// run the start-of-step state exchange split-phase around the EOS
   /// stage, with send/recv wire legs on the network lane — communication
@@ -72,15 +67,14 @@ struct SimulationConfig {
   /// sum when any overlap occurs (docs/async_overlap.md). Off (default)
   /// = the synchronous single-cursor model of the compiled-plan path.
   bool async_overlap = false;
-  /// Widened overlap window (effective only with async_overlap and
-  /// batched_launch): EVERY per-step halo exchange hides behind compute,
-  /// not just the state exchange behind EOS. Each stencil stage splits
-  /// into a ghost-free interior sweep that runs while its exchange's
-  /// messages fly and a boundary rind sweep after the exchange finishes,
-  /// and the strictly-interior half of each coarse gather ships at
-  /// begin. Fields stay bit-identical to the synchronous path. False =
-  /// the single-window overlap, kept for ablation
-  /// (docs/async_overlap.md).
+  /// Widened overlap window (effective only with async_overlap): EVERY
+  /// per-step halo exchange hides behind compute, not just the state
+  /// exchange behind EOS. Each stencil stage splits into a ghost-free
+  /// interior sweep that runs while its exchange's messages fly and a
+  /// boundary rind sweep after the exchange finishes, and the
+  /// strictly-interior half of each coarse gather ships at begin. Fields
+  /// stay bit-identical to the synchronous path. False = the
+  /// single-window overlap, kept for ablation (docs/async_overlap.md).
   bool wide_overlap = true;
   /// Deterministic fault injection (util/fault.hpp, the JSON `faults`
   /// block): when set, the simulation owns a seeded FaultPlan consulted
@@ -214,9 +208,7 @@ class Simulation {
   Fields fields_;
   std::unique_ptr<HydroProblem> problem_;
   std::unique_ptr<ReflectiveBoundary> bc_;
-  std::unique_ptr<CudaPatchIntegrator> patch_integrator_;
   std::unique_ptr<LevelKernelRunner> level_runner_;
-  std::unique_ptr<LagrangianEulerianLevelIntegrator> level_integrator_;
   std::unique_ptr<amr::GriddingAlgorithm> gridding_;
   std::unique_ptr<LagrangianEulerianIntegrator> integrator_;
 };

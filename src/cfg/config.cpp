@@ -660,8 +660,6 @@ RunConfig parse_run_config(const Json& root) {
 
   if (const Json* v = r.consume("execution")) {
     Reader e(*v, "execution");
-    config.sim.batched_launch =
-        e.get_bool("batched_launch", config.sim.batched_launch);
     config.sim.async_overlap =
         e.get_bool("async_overlap", config.sim.async_overlap);
     config.sim.wide_overlap =
@@ -769,7 +767,6 @@ Json to_json(const RunConfig& config) {
   j.set("amr", std::move(amr));
 
   Json execution = Json::make_object();
-  execution.set("batched_launch", Json(config.sim.batched_launch));
   execution.set("async_overlap", Json(config.sim.async_overlap));
   execution.set("wide_overlap", Json(config.sim.wide_overlap));
   j.set("execution", std::move(execution));

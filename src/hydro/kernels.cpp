@@ -139,13 +139,6 @@ void ideal_gas_batched(vgpu::Device& dev, vgpu::Stream& s,
       });
 }
 
-void ideal_gas(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
-               View density, View energy, View pressure, View soundspeed,
-               double gamma) {
-  const IdealGasPatch p{density, energy, pressure, soundspeed};
-  ideal_gas_batched(dev, s, {&box, 1}, {&p, 1}, SweepPart::kAll, gamma);
-}
-
 void viscosity_batched(vgpu::Device& dev, vgpu::Stream& s,
                        std::span<const Box> boxes, const CellGeom& g,
                        std::span<const ViscosityPatch> p, SweepPart part) {
@@ -192,13 +185,6 @@ void viscosity_batched(vgpu::Device& dev, vgpu::Stream& s,
       });
 }
 
-void viscosity_kernel(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
-                      const CellGeom& g, View density0, View pressure,
-                      View viscosity, View xvel0, View yvel0) {
-  const ViscosityPatch p{density0, pressure, viscosity, xvel0, yvel0};
-  viscosity_batched(dev, s, {&box, 1}, g, {&p, 1});
-}
-
 double calc_dt_batched(vgpu::Device& dev, vgpu::Stream& s,
                        std::span<const Box> boxes, const CellGeom& g,
                        std::span<const CalcDtPatch> p) {
@@ -237,13 +223,6 @@ double calc_dt_batched(vgpu::Device& dev, vgpu::Stream& s,
                                   : Constants::g_big;
         return std::min({dtct, dtut, dtvt, dtdivt});
       });
-}
-
-double calc_dt(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
-               const CellGeom& g, View density0, View soundspeed,
-               View viscosity, View xvel0, View yvel0) {
-  const CalcDtPatch p{density0, soundspeed, viscosity, xvel0, yvel0};
-  return calc_dt_batched(dev, s, {&box, 1}, g, {&p, 1});
 }
 
 void pdv_batched(vgpu::Device& dev, vgpu::Stream& s,
@@ -312,15 +291,6 @@ void pdv_batched(vgpu::Device& dev, vgpu::Stream& s,
   }
 }
 
-void pdv(vgpu::Device& dev, vgpu::Stream& s, const Box& box, const CellGeom& g,
-         double dt, bool predict, View xvel0, View yvel0, View xvel1,
-         View yvel1, View density0, View density1, View energy0, View energy1,
-         View pressure, View viscosity) {
-  const PdvPatch p{xvel0, yvel0, xvel1, yvel1, density0,
-                   density1, energy0, energy1, pressure, viscosity};
-  pdv_batched(dev, s, {&box, 1}, g, dt, predict, {&p, 1});
-}
-
 void accelerate_batched(vgpu::Device& dev, vgpu::Stream& s,
                         std::span<const Box> boxes, const CellGeom& g,
                         double dt, std::span<const AcceleratePatch> p,
@@ -371,16 +341,6 @@ void accelerate_batched(vgpu::Device& dev, vgpu::Stream& s,
       });
 }
 
-void accelerate(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
-                const CellGeom& g, double dt, View density0, View pressure,
-                View viscosity, View xvel0, View yvel0, View xvel1,
-                View yvel1, double gx, double gy) {
-  const AcceleratePatch p{density0, pressure, viscosity, xvel0,
-                          yvel0, xvel1, yvel1};
-  accelerate_batched(dev, s, {&box, 1}, g, dt, {&p, 1}, SweepPart::kAll, gx,
-                     gy);
-}
-
 void flux_calc_batched(vgpu::Device& dev, vgpu::Stream& s,
                        std::span<const Box> boxes, const CellGeom& g,
                        double dt, std::span<const FluxCalcPatch> p,
@@ -412,13 +372,6 @@ void flux_calc_batched(vgpu::Device& dev, vgpu::Stream& s,
                              (v.yvel0(i, j) + v.yvel0(i + 1, j) +
                               v.yvel1(i, j) + v.yvel1(i + 1, j));
       });
-}
-
-void flux_calc(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
-               const CellGeom& g, double dt, View xvel0, View yvel0, View xvel1,
-               View yvel1, View vol_flux_x, View vol_flux_y) {
-  const FluxCalcPatch p{xvel0, yvel0, xvel1, yvel1, vol_flux_x, vol_flux_y};
-  flux_calc_batched(dev, s, {&box, 1}, g, dt, {&p, 1});
 }
 
 void advec_cell_batched(vgpu::Device& dev, vgpu::Stream& s,
@@ -618,17 +571,6 @@ void advec_cell_batched(vgpu::Device& dev, vgpu::Stream& s,
           v.energy1(i, j) = post_ener;
         });
   }
-}
-
-void advec_cell(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
-                const CellGeom& g, bool x_direction, int sweep_number,
-                View density1, View energy1, View vol_flux_x, View vol_flux_y,
-                View mass_flux_x, View mass_flux_y, View pre_vol, View post_vol,
-                View ener_flux) {
-  const AdvecCellPatch p{density1, energy1, vol_flux_x,
-                         vol_flux_y, mass_flux_x, mass_flux_y,
-                         pre_vol, post_vol, ener_flux};
-  advec_cell_batched(dev, s, {&box, 1}, g, x_direction, sweep_number, {&p, 1});
 }
 
 void advec_mom_shared_batched(vgpu::Device& dev, vgpu::Stream& s,
@@ -875,42 +817,6 @@ void advec_mom_velocity_batched(vgpu::Device& dev, vgpu::Stream& s,
   }
 }
 
-void advec_mom_batched(vgpu::Device& dev, vgpu::Stream& s,
-                       std::span<const Box> boxes, const CellGeom& g,
-                       bool x_direction, int mom_sweep,
-                       std::span<const AdvecMomPatch> p, SweepPart part) {
-  // One component, all six sub-stages: the shared sweep recomputes the
-  // component-independent work exactly as the paper's original kernel
-  // does (per-patch route; the batched runner calls the shared sweep
-  // once per direction and fuses both components instead).
-  std::vector<AdvecMomSharedPatch> shared;
-  std::vector<AdvecMomVelPatch> vel;
-  shared.reserve(p.size());
-  vel.reserve(p.size());
-  for (const AdvecMomPatch& v : p) {
-    shared.push_back(AdvecMomSharedPatch{
-        v.density1, v.vol_flux_x, v.vol_flux_y, v.mass_flux_x, v.mass_flux_y,
-        v.node_flux, v.node_mass_post, v.node_mass_pre, v.pre_vol,
-        v.post_vol});
-    vel.push_back(AdvecMomVelPatch{v.vel1, v.mom_flux, v.node_flux,
-                                   v.node_mass_post, v.node_mass_pre});
-  }
-  advec_mom_shared_batched(dev, s, boxes, g, mom_sweep, shared, part);
-  advec_mom_velocity_batched(dev, s, boxes, g, x_direction, vel, part);
-}
-
-void advec_mom(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
-               const CellGeom& g, bool x_direction, int mom_sweep, View vel1,
-               View density1, View vol_flux_x, View vol_flux_y,
-               View mass_flux_x, View mass_flux_y, View node_flux,
-               View node_mass_post, View node_mass_pre, View mom_flux,
-               View pre_vol, View post_vol) {
-  const AdvecMomPatch p{vel1, density1, vol_flux_x, vol_flux_y,
-                        mass_flux_x, mass_flux_y, node_flux, node_mass_post,
-                        node_mass_pre, mom_flux, pre_vol, post_vol};
-  advec_mom_batched(dev, s, {&box, 1}, g, x_direction, mom_sweep, {&p, 1});
-}
-
 void reset_field_batched(vgpu::Device& dev, vgpu::Stream& s,
                          std::span<const Box> boxes,
                          std::span<const ResetFieldPatch> p, SweepPart part) {
@@ -933,14 +839,6 @@ void reset_field_batched(vgpu::Device& dev, vgpu::Stream& s,
         v.xvel0(i, j) = v.xvel1(i, j);
         v.yvel0(i, j) = v.yvel1(i, j);
       });
-}
-
-void reset_field(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
-                 View density0, View density1, View energy0, View energy1,
-                 View xvel0, View xvel1, View yvel0, View yvel1) {
-  const ResetFieldPatch p{density0, density1, energy0, energy1,
-                          xvel0, xvel1, yvel0, yvel1};
-  reset_field_batched(dev, s, {&box, 1}, {&p, 1});
 }
 
 FieldSummary field_summary(vgpu::Device& dev, vgpu::Stream& s, const Box& box,

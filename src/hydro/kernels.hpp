@@ -90,22 +90,19 @@ enum class SweepPart { kAll, kInterior, kRind };
 // ---------------------------------------------------------------------------
 // Batched (fused per-level) kernel forms.
 //
-// Every stage kernel has a batched entry taking parallel spans of
-// per-patch interior cell boxes and per-patch view bundles (one entry
+// Every stage kernel has one entry, a batched form taking parallel spans
+// of per-patch interior cell boxes and per-patch view bundles (one entry
 // per patch, indexed by the fused launch's segment argument id). A
 // batched call issues ONE fused launch per kernel sub-stage and part —
 // one launch overhead and an occupancy ramp computed from the part's
-// total thread count — instead of one launch per patch. The per-patch
-// entries below forward to the batched forms with a single segment, so
-// both paths share one kernel body and stay bit-identical by
-// construction. Geometry and scalar arguments (dt, sweep selectors) are
-// uniform across a level.
+// total thread count. A single patch is a one-element span. Geometry
+// and scalar arguments (dt, sweep selectors) are uniform across a level.
 
 /// Per-patch views for ideal_gas.
 struct IdealGasPatch {
   View density, energy, pressure, soundspeed;
 };
-/// Per-patch views for viscosity_kernel.
+/// Per-patch views for viscosity.
 struct ViscosityPatch {
   View density0, pressure, viscosity, xvel0, yvel0;
 };
@@ -131,16 +128,9 @@ struct AdvecCellPatch {
   View density1, energy1, vol_flux_x, vol_flux_y, mass_flux_x, mass_flux_y,
       pre_vol, post_vol, ener_flux;
 };
-/// Per-patch views for advec_mom (one velocity component).
-struct AdvecMomPatch {
-  View vel1, density1, vol_flux_x, vol_flux_y, mass_flux_x, mass_flux_y,
-      node_flux, node_mass_post, node_mass_pre, mom_flux, pre_vol, post_vol;
-};
 /// Per-patch views of the component-INDEPENDENT advec_mom work: sweep
 /// volumes, node fluxes and node masses are identical for both velocity
-/// components of one sweep, so they are computed once per sweep instead
-/// of once per component (the paper's original code recomputed them with
-/// bit-identical results).
+/// components of one sweep, so they are computed once per sweep.
 struct AdvecMomSharedPatch {
   View density1, vol_flux_x, vol_flux_y, mass_flux_x, mass_flux_y, node_flux,
       node_mass_post, node_mass_pre, pre_vol, post_vol;
@@ -174,6 +164,7 @@ void viscosity_batched(vgpu::Device& dev, vgpu::Stream& s,
 double calc_dt_batched(vgpu::Device& dev, vgpu::Stream& s,
                        std::span<const mesh::Box> boxes, const CellGeom& g,
                        std::span<const CalcDtPatch> p);
+/// `predict` uses dt/2 and level-n velocities only.
 void pdv_batched(vgpu::Device& dev, vgpu::Stream& s,
                  std::span<const mesh::Box> boxes, const CellGeom& g, double dt,
                  bool predict, std::span<const PdvPatch> p,
@@ -191,20 +182,17 @@ void flux_calc_batched(vgpu::Device& dev, vgpu::Stream& s,
                        std::span<const mesh::Box> boxes, const CellGeom& g,
                        double dt, std::span<const FluxCalcPatch> p,
                        SweepPart part = SweepPart::kAll);
+/// One directional sweep of cell-centred advection (density1, energy1).
+/// `sweep_number` is 1 for the first sweep of the step, 2 for the second;
+/// `x_direction` selects the sweep axis.
 void advec_cell_batched(vgpu::Device& dev, vgpu::Stream& s,
                         std::span<const mesh::Box> boxes, const CellGeom& g,
                         bool x_direction, int sweep_number,
                         std::span<const AdvecCellPatch> p,
                         SweepPart part = SweepPart::kAll);
-/// One velocity component, all six sub-stages (the per-patch wrapper's
-/// entry): forwards to the shared + velocity entries below.
-void advec_mom_batched(vgpu::Device& dev, vgpu::Stream& s,
-                       std::span<const mesh::Box> boxes, const CellGeom& g,
-                       bool x_direction, int mom_sweep,
-                       std::span<const AdvecMomPatch> p,
-                       SweepPart part = SweepPart::kAll);
 /// Component-independent sub-stages (volumes, node flux, node masses) of
 /// one momentum sweep: ONE run serves both velocity components.
+/// `mom_sweep` = direction + 2*(sweep_number-1) as in CloverLeaf.
 void advec_mom_shared_batched(vgpu::Device& dev, vgpu::Stream& s,
                               std::span<const mesh::Box> boxes,
                               const CellGeom& g, int mom_sweep,
@@ -225,68 +213,6 @@ void reset_field_batched(vgpu::Device& dev, vgpu::Stream& s,
                          std::span<const mesh::Box> boxes,
                          std::span<const ResetFieldPatch> p,
                          SweepPart part = SweepPart::kAll);
-
-// ---------------------------------------------------------------------------
-// Per-patch forms (single-segment wrappers over the batched entries).
-
-/// Equation of state over `box` (+ any ghost region included by caller).
-void ideal_gas(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-               View density, View energy, View pressure, View soundspeed,
-               double gamma = Constants::gamma);
-
-/// Artificial viscosity over the interior `box` (reads velocity and
-/// pressure in a 1-cell halo).
-void viscosity_kernel(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-                      const CellGeom& g, View density0, View pressure,
-                      View viscosity, View xvel0, View yvel0);
-
-/// Minimum stable timestep over the interior `box`.
-double calc_dt(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-               const CellGeom& g, View density0, View soundspeed,
-               View viscosity, View xvel0, View yvel0);
-
-/// PdV compression work. `predict` uses dt/2 and level-n velocities only.
-void pdv(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-         const CellGeom& g, double dt, bool predict, View xvel0, View yvel0,
-         View xvel1, View yvel1, View density0, View density1, View energy0,
-         View energy1, View pressure, View viscosity);
-
-/// Nodal acceleration over the node box of `box`.
-void accelerate(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-                const CellGeom& g, double dt, View density0, View pressure,
-                View viscosity, View xvel0, View yvel0, View xvel1, View yvel1,
-                double gx = 0.0, double gy = 0.0);
-
-/// Face volume fluxes over the side boxes of `box`.
-void flux_calc(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-               const CellGeom& g, double dt, View xvel0, View yvel0, View xvel1,
-               View yvel1, View vol_flux_x, View vol_flux_y);
-
-/// One directional sweep of cell-centred advection (density1, energy1).
-/// `sweep_number` is 1 for the first sweep of the step, 2 for the second;
-/// `x_direction` selects the sweep axis. Requires density1/energy1 and
-/// vol_flux in a 2-cell halo; writes mass_flux and (work) ener_flux,
-/// pre_vol, post_vol.
-void advec_cell(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-                const CellGeom& g, bool x_direction, int sweep_number,
-                View density1, View energy1, View vol_flux_x, View vol_flux_y,
-                View mass_flux_x, View mass_flux_y, View pre_vol, View post_vol,
-                View ener_flux);
-
-/// One directional sweep of momentum advection for one velocity
-/// component `vel1`. `mom_sweep` = direction + 2*(sweep_number-1) as in
-/// CloverLeaf. Work arrays are node-centred.
-void advec_mom(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-               const CellGeom& g, bool x_direction, int mom_sweep, View vel1,
-               View density1, View vol_flux_x, View vol_flux_y,
-               View mass_flux_x, View mass_flux_y, View node_flux,
-               View node_mass_post, View node_mass_pre, View mom_flux,
-               View pre_vol, View post_vol);
-
-/// density0 <- density1 etc. over `box` (+ghosts handled by caller box).
-void reset_field(vgpu::Device& dev, vgpu::Stream& s, const mesh::Box& box,
-                 View density0, View density1, View energy0, View energy1,
-                 View xvel0, View xvel1, View yvel0, View yvel1);
 
 /// Total mass / internal energy / kinetic energy over `box` (device
 /// reduction; diagnostics and conservation tests).

@@ -303,7 +303,7 @@ class Device {
   /// from the total thread count. body(seg, i, j) runs for every (i, j)
   /// of every segment, row-wise within each segment — the same index
   /// sets and per-element arithmetic as the equivalent per-segment
-  /// launch2d calls, so results are bit-identical to the per-patch path.
+  /// launch2d calls, so results are bit-identical to those launches.
   template <typename F>
   void launch_batched(Stream& stream, const SegmentTable& segments,
                       const KernelCost& cost, F&& body) {

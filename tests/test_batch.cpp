@@ -1,7 +1,6 @@
 // Fused per-level kernel batching: SegmentTable dispatch, the fused
 // launch/reduction cost model (one overhead, utilization from the total
-// thread count), launch counters, and end-to-end bit-exactness of the
-// batched step against the per-patch path.
+// thread count), and the launch and readback counts of a whole step.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,8 +8,6 @@
 #include <vector>
 
 #include "app/simulation.hpp"
-#include "hier/level_views.hpp"
-#include "pdat/cuda/cuda_data.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/device_buffer.hpp"
 #include "vgpu/launch_batch.hpp"
@@ -186,7 +183,7 @@ TEST(ReduceMinBatched, MatchesPerSegmentMinWithOneReadback) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the batched step against the per-patch step.
+// End-to-end: the launch and readback counts of a multi-patch step.
 
 app::SimulationConfig multi_patch_sod() {
   app::SimulationConfig cfg;
@@ -194,77 +191,9 @@ app::SimulationConfig multi_patch_sod() {
   cfg.nx = 64;
   cfg.ny = 64;
   cfg.max_levels = 3;
-  cfg.regrid_interval = 4;  // include regrids in the comparison window
   cfg.max_patch_cells = 16 * 16;  // force many patches per level
   cfg.min_patch_size = 8;
   return cfg;
-}
-
-TEST(BatchedStep, BitIdenticalToPerPatchAfterTenSteps) {
-  app::SimulationConfig batched_cfg = multi_patch_sod();
-  batched_cfg.batched_launch = true;
-  app::SimulationConfig per_patch_cfg = multi_patch_sod();
-  per_patch_cfg.batched_launch = false;
-
-  app::Simulation batched(batched_cfg, nullptr);
-  app::Simulation per_patch(per_patch_cfg, nullptr);
-  batched.initialize();
-  per_patch.initialize();
-  batched.run(10);
-  per_patch.run(10);
-
-  ASSERT_EQ(batched.hierarchy().num_levels(), per_patch.hierarchy().num_levels());
-  ASSERT_DOUBLE_EQ(batched.last_dt(), per_patch.last_dt());
-  int patches_checked = 0;
-  for (int l = 0; l < batched.hierarchy().num_levels(); ++l) {
-    hier::PatchLevel& lb = batched.hierarchy().level(l);
-    hier::PatchLevel& lp = per_patch.hierarchy().level(l);
-    ASSERT_EQ(lb.patch_count(), lp.patch_count());
-    ASSERT_GT(lb.patch_count(), 1u) << "level " << l
-                                    << " must be multi-patch for this test";
-    for (const auto& pb : lb.local_patches()) {
-      const auto pp = lp.local_patch(pb->global_id());
-      ASSERT_NE(pp, nullptr);
-      ASSERT_EQ(pb->box(), pp->box());
-      ++patches_checked;
-      for (int id = 0; id < pb->data_count(); ++id) {
-        const auto& db = pb->typed_data<pdat::cuda::CudaData>(id);
-        const auto& dp = pp->typed_data<pdat::cuda::CudaData>(id);
-        const mesh::Centering centering =
-            batched.hierarchy().variables().variable(id).centering;
-        for (int k = 0; k < db.components(); ++k) {
-          // Compare the patch interior in the component's index space:
-          // every stage rewrites it each step. (Ghost cells of
-          // non-communicated fields keep whatever the raw allocation
-          // held, which is not part of the bit-exactness contract.)
-          const mesh::Box region = mesh::to_centering(
-              pb->box(), mesh::component_centering(centering, k));
-          for (int d = 0; d < db.component(k).depth(); ++d) {
-            const util::View vb = db.device_view(k, d);
-            const util::View vp = dp.device_view(k, d);
-            std::int64_t mismatches = 0;
-            for (int j = region.lower().j; j <= region.upper().j; ++j) {
-              for (int i = region.lower().i; i <= region.upper().i; ++i) {
-                const double a = vb(i, j);
-                const double b = vp(i, j);
-                mismatches += std::memcmp(&a, &b, sizeof(double)) != 0;
-              }
-            }
-            ASSERT_EQ(mismatches, 0)
-                << "level " << l << " patch " << pb->global_id() << " var "
-                << id << " comp " << k << " depth " << d;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GT(patches_checked, 3);
-  // Conservation diagnostics agree exactly too.
-  const auto sb = batched.composite_summary();
-  const auto sp = per_patch.composite_summary();
-  EXPECT_DOUBLE_EQ(sb.mass, sp.mass);
-  EXPECT_DOUBLE_EQ(sb.internal_energy, sp.internal_energy);
-  EXPECT_DOUBLE_EQ(sb.kinetic_energy, sp.kinetic_energy);
 }
 
 TEST(BatchedStep, OneDtScalarReadbackPerLevelPerStep) {
@@ -280,27 +209,10 @@ TEST(BatchedStep, OneDtScalarReadbackPerLevelPerStep) {
             static_cast<std::uint64_t>(sim.hierarchy().num_levels()));
 }
 
-TEST(BatchedStep, PerPatchPathReadsBackOneScalarPerPatch) {
-  app::SimulationConfig cfg = multi_patch_sod();
-  cfg.regrid_interval = 0;
-  cfg.batched_launch = false;
-  app::Simulation sim(cfg, nullptr);
-  sim.initialize();
-  sim.step();
-  std::uint64_t patches = 0;
-  for (int l = 0; l < sim.hierarchy().num_levels(); ++l) {
-    patches += sim.hierarchy().level(l).local_patches().size();
-  }
-  const auto before = sim.device().transfers();
-  sim.step();
-  const auto delta = sim.device().transfers() - before;
-  EXPECT_EQ(delta.d2h_scalar_count, patches);
-}
-
 TEST(BatchedStep, OneLaunchPerKernelSubStagePerLevel) {
   // A level with P patches must issue the per-stage launch counts of a
   // SINGLE patch: each kernel sub-stage fuses all patches into one
-  // launch (P was the per-patch path's count).
+  // launch.
   app::SimulationConfig cfg = multi_patch_sod();
   cfg.regrid_interval = 0;
   app::Simulation sim(cfg, nullptr);
@@ -309,8 +221,7 @@ TEST(BatchedStep, OneLaunchPerKernelSubStagePerLevel) {
 
   hier::PatchLevel& level = sim.hierarchy().level(0);
   ASSERT_GT(level.local_patches().size(), 1u);
-  const hydro::CellGeom g =
-      app::LagrangianEulerianLevelIntegrator::geom_of(level);
+  const hydro::CellGeom g = app::geom_of(level);
   const double dt = sim.last_dt();
   app::LevelKernelRunner runner(sim.device(), sim.fields());
   vgpu::Device& dev = sim.device();
@@ -329,32 +240,11 @@ TEST(BatchedStep, OneLaunchPerKernelSubStagePerLevel) {
   EXPECT_EQ(launches([&] { runner.pdv(level, g, dt, false); }), 1u);
   EXPECT_EQ(launches([&] { runner.flux_calc(level, g, dt); }), 2u);
   EXPECT_EQ(launches([&] { runner.advec_cell(level, g, true, 1); }), 3u);
-  EXPECT_EQ(launches([&] { runner.advec_mom(level, g, true, 1, true); }), 6u);
   // BOTH velocity components in six launches, not twelve: the shared
   // volumes / node fluxes / node masses run once, and the per-component
   // momentum flux + velocity update fuse the two components.
   EXPECT_EQ(launches([&] { runner.advec_mom_both(level, g, true, 1); }), 6u);
   EXPECT_EQ(launches([&] { runner.reset_field(level, g); }), 2u);
-}
-
-TEST(LevelViews, GatherMatchesPatchOrder) {
-  app::SimulationConfig cfg = multi_patch_sod();
-  app::Simulation sim(cfg, nullptr);
-  sim.initialize();
-  auto& level = sim.hierarchy().level(0);
-  const auto boxes = hier::local_boxes(level);
-  const auto views = hier::gather_views<pdat::cuda::CudaData>(
-      level, sim.fields().density0);
-  ASSERT_EQ(boxes.size(), level.local_patches().size());
-  ASSERT_EQ(views.size(), boxes.size());
-  for (std::size_t p = 0; p < boxes.size(); ++p) {
-    EXPECT_EQ(boxes[p], level.local_patches()[p]->box());
-    EXPECT_EQ(views[p].data(),
-              level.local_patches()[p]
-                  ->typed_data<pdat::cuda::CudaData>(sim.fields().density0)
-                  .device_view()
-                  .data());
-  }
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "app/simulation.hpp"
 #include "cfg/config.hpp"
 #include "cfg/json.hpp"
-#include "hier/level_views.hpp"
 #include "pdat/cuda/cuda_data.hpp"
 
 namespace ramr {
@@ -124,13 +123,17 @@ TEST(Config, RejectsUnknownKeysNamingThePath) {
   expect_config_error("{\"grid\": {\"nz\": 4}}", "grid.nz");
   expect_config_error("{\"amr\": {\"max_level\": 2}}", "amr.max_level");
   expect_config_error("{\"output\": {\"vtk\": 1}}", "output.vtk");
+  // Stages always run as fused per-level launches; the old route switch
+  // is rejected like any other unknown key.
+  expect_config_error("{\"execution\": {\"batched_launch\": true}}",
+                      "execution.batched_launch");
 }
 
 TEST(Config, RejectsTypeMismatchesNamingThePath) {
   expect_config_error("{\"grid\": {\"nx\": \"big\"}}", "grid.nx");
   expect_config_error("{\"grid\": {\"nx\": 64.5}}", "grid.nx");
-  expect_config_error("{\"execution\": {\"batched_launch\": 1}}",
-                      "execution.batched_launch");
+  expect_config_error("{\"execution\": {\"async_overlap\": 1}}",
+                      "execution.async_overlap");
   expect_config_error("{\"problem\": 7}", "problem");
   expect_config_error("{\"amr\": 3}", "amr");
 }
@@ -200,7 +203,6 @@ TEST(Config, EmptyDocumentYieldsTodaysDefaults) {
   EXPECT_EQ(c.sim.max_patch_cells, def.max_patch_cells);
   EXPECT_EQ(c.sim.min_patch_size, def.min_patch_size);
   EXPECT_DOUBLE_EQ(c.sim.cluster_efficiency, def.cluster_efficiency);
-  EXPECT_EQ(c.sim.batched_launch, def.batched_launch);
   EXPECT_EQ(c.sim.async_overlap, def.async_overlap);
   EXPECT_EQ(c.sim.wide_overlap, def.wide_overlap);
   EXPECT_EQ(c.sim.device.name, def.device.name);
@@ -291,8 +293,7 @@ TEST(Config, ToJsonRoundTripsEveryField) {
       "  \"tag_buffer\": 1, \"tag_threshold\": 0.125,"
       "  \"max_patch_cells\": 1024, \"min_patch_size\": 4,"
       "  \"cluster_efficiency\": 0.5},"
-      " \"execution\": {\"batched_launch\": false,"
-      "  \"async_overlap\": true, \"wide_overlap\": false},"
+      " \"execution\": {\"async_overlap\": true, \"wide_overlap\": false},"
       " \"device\": {\"preset\": \"opteron_6274_node\","
       "  \"peak_gflops\": 100.0},"
       " \"network\": {\"preset\": \"cray_gemini\", \"latency_s\": 2e-6},"
@@ -302,7 +303,6 @@ TEST(Config, ToJsonRoundTripsEveryField) {
   const cfg::RunConfig c = cfg::parse_run_config_text(doc);
   EXPECT_EQ(c.sim.problem, "sedov");
   EXPECT_EQ(c.sim.ratio, 4);
-  EXPECT_FALSE(c.sim.batched_launch);
   EXPECT_TRUE(c.sim.async_overlap);
   EXPECT_EQ(c.sim.device.name, vgpu::opteron_6274_node().name);
   EXPECT_DOUBLE_EQ(c.sim.device.peak_gflops, 100.0);  // override applied

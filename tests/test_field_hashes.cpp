@@ -5,7 +5,9 @@
 // arrays (interiors in each component's index space, all variables,
 // patches in (level, global id) order) must equal the table below, so
 // any change to the transfer plans, the hydro kernels or the regrid path
-// that moves a single bit of a field fails here.
+// that moves a single bit of a field fails here. Rows with a
+// max_patch_cells value cut the same config into many small patches per
+// level (the shape where each fused launch spans the most segments).
 //
 // Fields are bit-identical across rank counts and timing models, so the
 // four rows of one config carry the same hash. The table was filled from
@@ -35,38 +37,45 @@ struct HashCase {
   const char* config;
   int ranks;
   bool async_overlap;
+  std::int64_t max_patch_cells;  // 0: the config's own value
   std::uint64_t hash;
 };
 
 // clang-format off
 constexpr HashCase kCases[] = {
-    {"kelvin_helmholtz", 1, false, 0xa2a8dca13e965e33ull},
-    {"kelvin_helmholtz", 1, true, 0xa2a8dca13e965e33ull},
-    {"kelvin_helmholtz", 2, false, 0xa2a8dca13e965e33ull},
-    {"kelvin_helmholtz", 2, true, 0xa2a8dca13e965e33ull},
-    {"rayleigh_taylor", 1, false, 0xb94d517d755afa7aull},
-    {"rayleigh_taylor", 1, true, 0xb94d517d755afa7aull},
-    {"rayleigh_taylor", 2, false, 0xb94d517d755afa7aull},
-    {"rayleigh_taylor", 2, true, 0xb94d517d755afa7aull},
-    {"sedov", 1, false, 0x13043a4e921fb9b5ull},
-    {"sedov", 1, true, 0x13043a4e921fb9b5ull},
-    {"sedov", 2, false, 0x13043a4e921fb9b5ull},
-    {"sedov", 2, true, 0x13043a4e921fb9b5ull},
-    {"sod", 1, false, 0x1db3f75523a4bc3eull},
-    {"sod", 1, true, 0x1db3f75523a4bc3eull},
-    {"sod", 2, false, 0x1db3f75523a4bc3eull},
-    {"sod", 2, true, 0x1db3f75523a4bc3eull},
-    {"triple_point", 1, false, 0xcafa1568aa213694ull},
-    {"triple_point", 1, true, 0xcafa1568aa213694ull},
-    {"triple_point", 2, false, 0xcafa1568aa213694ull},
-    {"triple_point", 2, true, 0xcafa1568aa213694ull},
+    {"kelvin_helmholtz", 1, false, 0, 0xa2a8dca13e965e33ull},
+    {"kelvin_helmholtz", 1, true, 0, 0xa2a8dca13e965e33ull},
+    {"kelvin_helmholtz", 2, false, 0, 0xa2a8dca13e965e33ull},
+    {"kelvin_helmholtz", 2, true, 0, 0xa2a8dca13e965e33ull},
+    {"rayleigh_taylor", 1, false, 0, 0xb94d517d755afa7aull},
+    {"rayleigh_taylor", 1, true, 0, 0xb94d517d755afa7aull},
+    {"rayleigh_taylor", 2, false, 0, 0xb94d517d755afa7aull},
+    {"rayleigh_taylor", 2, true, 0, 0xb94d517d755afa7aull},
+    {"sedov", 1, false, 0, 0x13043a4e921fb9b5ull},
+    {"sedov", 1, true, 0, 0x13043a4e921fb9b5ull},
+    {"sedov", 2, false, 0, 0x13043a4e921fb9b5ull},
+    {"sedov", 2, true, 0, 0x13043a4e921fb9b5ull},
+    {"sod", 1, false, 0, 0x1db3f75523a4bc3eull},
+    {"sod", 1, true, 0, 0x1db3f75523a4bc3eull},
+    {"sod", 2, false, 0, 0x1db3f75523a4bc3eull},
+    {"sod", 2, true, 0, 0x1db3f75523a4bc3eull},
+    {"triple_point", 1, false, 0, 0xcafa1568aa213694ull},
+    {"triple_point", 1, true, 0, 0xcafa1568aa213694ull},
+    {"triple_point", 2, false, 0, 0xcafa1568aa213694ull},
+    {"triple_point", 2, true, 0, 0xcafa1568aa213694ull},
+    {"sod", 1, false, 16 * 16, 0x64759cc3e841b4d0ull},
+    {"sod", 1, true, 16 * 16, 0x64759cc3e841b4d0ull},
+    {"sod", 2, false, 16 * 16, 0x64759cc3e841b4d0ull},
+    {"sod", 2, true, 16 * 16, 0x64759cc3e841b4d0ull},
 };
 // clang-format on
 
-/// Names the case in test listings ("sod_2rank_async").
+/// Names the case in test listings ("sod_2rank_async",
+/// "sod_256cells_1rank_sync").
 void PrintTo(const HashCase& c, std::ostream* os) {
-  *os << c.config << "_" << c.ranks << "rank_"
-      << (c.async_overlap ? "async" : "sync");
+  *os << c.config << "_";
+  if (c.max_patch_cells > 0) *os << c.max_patch_cells << "cells_";
+  *os << c.ranks << "rank_" << (c.async_overlap ? "async" : "sync");
 }
 
 /// 64-bit FNV-1a over raw bytes.
@@ -135,6 +144,7 @@ TEST_P(FieldHash, MatchesCommittedReference) {
   const HashCase& c = GetParam();
   cfg::RunConfig config = load_example_config(c.config);
   config.sim.async_overlap = c.async_overlap;
+  if (c.max_patch_cells > 0) config.sim.max_patch_cells = c.max_patch_cells;
   // One step past the first regrid.
   const int steps = config.sim.regrid_interval + 1;
 
@@ -165,8 +175,8 @@ TEST_P(FieldHash, MatchesCommittedReference) {
   }
   EXPECT_EQ(h.digest(), c.hash)
       << "\n    {\"" << c.config << "\", " << c.ranks << ", "
-      << (c.async_overlap ? "true" : "false") << ", 0x" << std::hex
-      << h.digest() << "ull},";
+      << (c.async_overlap ? "true" : "false") << ", " << c.max_patch_cells
+      << ", 0x" << std::hex << h.digest() << "ull},";
 }
 
 INSTANTIATE_TEST_SUITE_P(ExampleConfigs, FieldHash,

@@ -42,8 +42,9 @@ TEST_F(KernelTest, IdealGasEquationOfState) {
   CudaCellData ss(dev_, box, IntVector(2, 2));
   rho.fill(0.5);
   e.fill(3.0);
-  ideal_gas(dev_, stream_, box, rho.device_view(), e.device_view(),
-            p.device_view(), ss.device_view());
+  const IdealGasPatch views{rho.device_view(), e.device_view(),
+                            p.device_view(), ss.device_view()};
+  ideal_gas_batched(dev_, stream_, {&box, 1}, {&views, 1});
   const auto pp = p.component(0).download_plane();
   const auto cc = ss.component(0).download_plane();
   const double expect_p = 0.4 * 0.5 * 3.0;  // (gamma-1) rho e
@@ -103,8 +104,10 @@ TEST_F(KernelTest, ViscosityZeroInUniformFlow) {
   xv.fill(0.7);  // uniform translation: no compression
   yv.fill(-0.3);
   q.fill(99.0);
-  viscosity_kernel(dev_, stream_, box, g, rho.device_view(), p.device_view(),
-                   q.device_view(), xv.device_view(), yv.device_view());
+  const ViscosityPatch views{rho.device_view(), p.device_view(),
+                             q.device_view(), xv.device_view(),
+                             yv.device_view()};
+  viscosity_batched(dev_, stream_, {&box, 1}, g, {&views, 1});
   const auto qq = q.component(0).download_plane();
   for (int j = 0; j < 8; ++j) {
     for (int i = 0; i < 8; ++i) {
@@ -144,8 +147,10 @@ TEST_F(KernelTest, ViscosityPositiveInCompression) {
     }
     p.component(0).upload_plane(plane);
   }
-  viscosity_kernel(dev_, stream_, box, g, rho.device_view(), p.device_view(),
-                   q.device_view(), xv.device_view(), yv.device_view());
+  const ViscosityPatch views{rho.device_view(), p.device_view(),
+                             q.device_view(), xv.device_view(),
+                             yv.device_view()};
+  viscosity_batched(dev_, stream_, {&box, 1}, g, {&views, 1});
   const auto qq = q.component(0).download_plane();
   // The compression column (i = 3..4) must have positive q somewhere.
   double max_q = 0.0;
@@ -168,9 +173,9 @@ TEST_F(KernelTest, CalcDtMatchesSoundSpeedCfl) {
   q.fill(0.0);
   xv.fill(0.0);
   yv.fill(0.0);
-  const double dt = calc_dt(dev_, stream_, box, g, rho.device_view(),
-                            ss.device_view(), q.device_view(),
-                            xv.device_view(), yv.device_view());
+  const CalcDtPatch views{rho.device_view(), ss.device_view(),
+                          q.device_view(), xv.device_view(), yv.device_view()};
+  const double dt = calc_dt_batched(dev_, stream_, {&box, 1}, g, {&views, 1});
   // At rest: dt = dtc_safe * min(dx, dy) / c.
   EXPECT_NEAR(dt, 0.7 * 0.01 / 2.0, 1e-15);
 }
@@ -191,10 +196,13 @@ TEST_F(KernelTest, PdvUniformVelocityLeavesStateUnchanged) {
   yv0.fill(0.4);
   xv1.fill(0.4);
   yv1.fill(0.4);
-  pdv(dev_, stream_, box, g, 0.01, /*predict=*/true, xv0.device_view(),
-      yv0.device_view(), xv1.device_view(), yv1.device_view(),
-      rho0.device_view(), rho1.device_view(), e0.device_view(),
-      e1.device_view(), p.device_view(), q.device_view());
+  const PdvPatch views{xv0.device_view(),  yv0.device_view(),
+                       xv1.device_view(),  yv1.device_view(),
+                       rho0.device_view(), rho1.device_view(),
+                       e0.device_view(),   e1.device_view(),
+                       p.device_view(),    q.device_view()};
+  pdv_batched(dev_, stream_, {&box, 1}, g, 0.01, /*predict=*/true,
+              {&views, 1});
   // Uniform translation: no volume change, density1 == density0.
   const auto r1 = rho1.component(0).download_plane();
   const auto ee1 = e1.component(0).download_plane();
@@ -225,9 +233,11 @@ TEST_F(KernelTest, AccelerateUniformPressureGradient) {
     p.component(0).upload_plane(plane);
   }
   const double dt = 0.01;
-  accelerate(dev_, stream_, box, g, dt, rho.device_view(), p.device_view(),
-             q.device_view(), xv0.device_view(), yv0.device_view(),
-             xv1.device_view(), yv1.device_view());
+  const AcceleratePatch views{rho.device_view(), p.device_view(),
+                              q.device_view(),   xv0.device_view(),
+                              yv0.device_view(), xv1.device_view(),
+                              yv1.device_view()};
+  accelerate_batched(dev_, stream_, {&box, 1}, g, dt, {&views, 1});
   // a = -(dp/dx)/rho; the kernel's discrete form: for interior node,
   // xvel1 = -halfdt * (2 * xarea * (p_i - p_{i-1})) / (4 * rho * vol / 4)
   const double nodal_mass = 2.0 * g.volume();
@@ -249,9 +259,10 @@ TEST_F(KernelTest, FluxCalcUniformVelocity) {
   xv1.fill(2.0);
   yv0.fill(-1.0);
   yv1.fill(-1.0);
-  flux_calc(dev_, stream_, box, g, 0.1, xv0.device_view(), yv0.device_view(),
-            xv1.device_view(), yv1.device_view(), vol_flux.device_view(0),
-            vol_flux.device_view(1));
+  const FluxCalcPatch views{xv0.device_view(),      yv0.device_view(),
+                            xv1.device_view(),      yv1.device_view(),
+                            vol_flux.device_view(0), vol_flux.device_view(1)};
+  flux_calc_batched(dev_, stream_, {&box, 1}, g, 0.1, {&views, 1});
   // vol_flux_x = dt * xarea * u = 0.1 * 0.5 * 2 = 0.1.
   const auto fx = vol_flux.component(0).download_plane();
   const Box xb = vol_flux.component(0).index_box();

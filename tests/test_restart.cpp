@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "app/simulation.hpp"
-#include "hier/level_views.hpp"
 #include "pdat/cuda/cuda_data.hpp"
 #include "pdat/database.hpp"
 

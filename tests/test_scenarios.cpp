@@ -14,7 +14,6 @@
 #include "app/simulation.hpp"
 #include "app/vtk_writer.hpp"
 #include "cfg/config.hpp"
-#include "hier/level_views.hpp"
 #include "pdat/cuda/cuda_data.hpp"
 
 namespace ramr {

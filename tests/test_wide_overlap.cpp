@@ -15,7 +15,6 @@
 
 #include "app/level_kernel_runner.hpp"
 #include "app/simulation.hpp"
-#include "hier/level_views.hpp"
 #include "mesh/box.hpp"
 #include "pdat/cuda/cuda_data.hpp"
 #include "simmpi/communicator.hpp"
@@ -96,24 +95,6 @@ TEST(RindCarving, ExactPartitionAtEveryDepthIncludingThinPatches) {
   }
 }
 
-TEST(RindCarving, LevelHelpersPartitionThePatchBox) {
-  const Box patch(3, 5, 18, 11);
-  for (int depth = 0; depth <= 8; ++depth) {
-    const Box interior = hier::interior_box(patch, depth);
-    const auto rind = hier::rind_boxes(patch, depth);
-    std::int64_t rind_cells = 0;
-    for (const Box& piece : rind) {
-      EXPECT_TRUE(patch.contains(piece));
-      EXPECT_TRUE(interior.intersect(piece).empty());
-      rind_cells += piece.size();
-    }
-    EXPECT_EQ(interior.size() + rind_cells, patch.size()) << "depth " << depth;
-    if (2 * depth >= patch.width() || 2 * depth >= patch.height()) {
-      EXPECT_TRUE(interior.empty()) << "depth " << depth;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Split sweeps vs full stage, per stage (serial, no exchange in
 // flight: interior-then-rind must reproduce kAll bit for bit).
@@ -186,8 +167,7 @@ TEST(WideOverlap, InteriorPlusRindSweepsBitIdenticalToFullStage) {
     for (int l = 0; l < a.hierarchy().num_levels(); ++l) {
       hier::PatchLevel& la = a.hierarchy().level(l);
       hier::PatchLevel& lb = b.hierarchy().level(l);
-      const hydro::CellGeom g =
-          app::LagrangianEulerianLevelIntegrator::geom_of(la);
+      const hydro::CellGeom g = app::geom_of(la);
       stage_a(la, g);
       stage_b(lb, g, SweepPart::kInterior);
       stage_b(lb, g, SweepPart::kRind);
