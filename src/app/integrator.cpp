@@ -251,10 +251,10 @@ double LagrangianEulerianIntegrator::advance() {
       dt = ctx_->comm->allreduce(dt, simmpi::ReduceOp::kMin);
     }
   };
-  const auto hydro_stage = [&](vgpu::LaunchTag tag, auto&& body) {
+  const auto hydro_stage = [&](auto&& body) {
     vgpu::AnnotationScope annotation(clock_, "stage:hydro");
     vgpu::ComponentScope scope(*clock_, "hydro");
-    vgpu::LaunchTagScope launch_tag(ctx_->device, tag);
+    vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
     each_level(body);
   };
   const auto boundary = [&](auto&& body) {
@@ -274,7 +274,7 @@ double LagrangianEulerianIntegrator::advance() {
       const double saved0 = overlap_saved_now();
       const double comm0 = comm_busy_now();
       boundary([&] { begin_all(sched_state_); });
-      hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+      hydro_stage([&](auto& l, const auto& g) {
         run.ideal_gas(l, g, /*predict=*/false);
       });
       boundary([&] { finish_all(sched_state_, Window::kState); });
@@ -300,7 +300,7 @@ double LagrangianEulerianIntegrator::advance() {
       const double comm0 = comm_busy_now();
       boundary([&] { begin_all(sched_viscosity_); });
       compute_dt_all();
-      hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+      hydro_stage([&](auto& l, const auto& g) {
         run.pdv(l, g, dt, /*predict=*/true);
         run.ideal_gas(l, g, /*predict=*/true);
       });
@@ -336,7 +336,7 @@ double LagrangianEulerianIntegrator::advance() {
           fill_all(sched_state_, Window::kState);
         }
       });
-      hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+      hydro_stage([&](auto& l, const auto& g) {
         run.ideal_gas(l, g, /*predict=*/false);
       });
       if (split_phase) {
@@ -346,24 +346,20 @@ double LagrangianEulerianIntegrator::advance() {
           overlap_saved_now() - saved0;
     }
     boundary([&] { fill_all(sched_pressure_, Window::kPressure); });
-    hydro_stage(vgpu::LaunchTag::kHydro,
-                [&](auto& l, const auto& g) { run.viscosity(l, g); });
+    hydro_stage([&](auto& l, const auto& g) { run.viscosity(l, g); });
     boundary([&] { fill_all(sched_viscosity_, Window::kViscosity); });
     compute_dt_all();
 
     // --- Lagrangian step ----------------------------------------------
-    hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
+    hydro_stage([&](auto& l, const auto& g) {
       run.pdv(l, g, dt, /*predict=*/true);
       run.ideal_gas(l, g, /*predict=*/true);
     });
     boundary([&] { fill_all(sched_pressure_, Window::kPressure); });
-    hydro_stage(vgpu::LaunchTag::kHydro,
-                [&](auto& l, const auto& g) { run.accelerate(l, g, dt); });
-    hydro_stage(vgpu::LaunchTag::kHydro, [&](auto& l, const auto& g) {
-      run.pdv(l, g, dt, /*predict=*/false);
-    });
-    hydro_stage(vgpu::LaunchTag::kHydro,
-                [&](auto& l, const auto& g) { run.flux_calc(l, g, dt); });
+    hydro_stage([&](auto& l, const auto& g) { run.accelerate(l, g, dt); });
+    hydro_stage(
+        [&](auto& l, const auto& g) { run.pdv(l, g, dt, /*predict=*/false); });
+    hydro_stage([&](auto& l, const auto& g) { run.flux_calc(l, g, dt); });
   }
 
   // --- Advection (directional split, alternating order) ----------------

@@ -23,9 +23,9 @@ class Reader {
  public:
   Reader(const Json& value, std::string path)
       : value_(&value), path_(std::move(path)) {
-    RAMR_REQUIRE(value.is_object(),
-                 "config key \"" << path_ << "\": expected an object, got "
-                                 << Json::type_name(value.type()));
+    RAMR_INPUT_CHECK(value.is_object(),
+                     "config key \"" << path_ << "\": expected an object, got "
+                                     << Json::type_name(value.type()));
   }
 
   const std::string& path() const { return path_; }
@@ -52,9 +52,10 @@ class Reader {
     if (v == nullptr) {
       return def;
     }
-    RAMR_REQUIRE(v->is_bool(), "config key \"" << path_of(key)
-                                               << "\": expected a bool, got "
-                                               << Json::type_name(v->type()));
+    RAMR_INPUT_CHECK(v->is_bool(),
+                     "config key \"" << path_of(key)
+                         << "\": expected a bool, got "
+                         << Json::type_name(v->type()));
     return v->as_bool();
   }
 
@@ -63,9 +64,10 @@ class Reader {
     if (v == nullptr) {
       return def;
     }
-    RAMR_REQUIRE(v->is_number(), "config key \"" << path_of(key)
-                                                 << "\": expected a number, got "
-                                                 << Json::type_name(v->type()));
+    RAMR_INPUT_CHECK(v->is_number(),
+                     "config key \"" << path_of(key)
+                         << "\": expected a number, got "
+                         << Json::type_name(v->type()));
     return v->as_number();
   }
 
@@ -74,12 +76,12 @@ class Reader {
     if (v == nullptr) {
       return def;
     }
-    RAMR_REQUIRE(v->is_integer(),
-                 "config key \"" << path_of(key)
-                                 << "\": expected an integer, got "
-                                 << (v->is_number()
-                                         ? "a non-integral number"
-                                         : Json::type_name(v->type())));
+    RAMR_INPUT_CHECK(v->is_integer(),
+                     "config key \"" << path_of(key)
+                                     << "\": expected an integer, got "
+                                     << (v->is_number()
+                                             ? "a non-integral number"
+                                             : Json::type_name(v->type())));
     return v->as_integer();
   }
 
@@ -92,9 +94,10 @@ class Reader {
     if (v == nullptr) {
       return def;
     }
-    RAMR_REQUIRE(v->is_string(), "config key \"" << path_of(key)
-                                                 << "\": expected a string, got "
-                                                 << Json::type_name(v->type()));
+    RAMR_INPUT_CHECK(v->is_string(),
+                     "config key \"" << path_of(key)
+                         << "\": expected a string, got "
+                         << Json::type_name(v->type()));
     return v->as_string();
   }
 
@@ -105,11 +108,11 @@ class Reader {
     if (v == nullptr) {
       return def;
     }
-    RAMR_REQUIRE(v->is_array() && v->as_array().size() == 2 &&
-                     v->as_array()[0].is_number() &&
-                     v->as_array()[1].is_number(),
-                 "config key \"" << path_of(key)
-                                 << "\": expected an array of two numbers");
+    RAMR_INPUT_CHECK(v->is_array() && v->as_array().size() == 2 &&
+                         v->as_array()[0].is_number() &&
+                         v->as_array()[1].is_number(),
+                     "config key \"" << path_of(key)
+                                     << "\": expected an array of two numbers");
     return {v->as_array()[0].as_number(), v->as_array()[1].as_number()};
   }
 
@@ -118,7 +121,7 @@ class Reader {
     for (const auto& [key, unused] : value_->as_object()) {
       (void)unused;
       if (std::find(seen_.begin(), seen_.end(), key) == seen_.end()) {
-        RAMR_FAIL("unknown config key \"" << path_of(key) << "\"");
+        RAMR_INPUT_FAIL("unknown config key \"" << path_of(key) << "\"");
       }
     }
   }
@@ -131,13 +134,13 @@ class Reader {
 
 // Range checks with the path in the message.
 void require_ge(double v, double lo, const std::string& path) {
-  RAMR_REQUIRE(v >= lo, "config key \"" << path << "\": must be >= " << lo
-                                        << ", got " << v);
+  RAMR_INPUT_CHECK(v >= lo, "config key \"" << path << "\": must be >= " << lo
+                                            << ", got " << v);
 }
 
 void require_gt(double v, double lo, const std::string& path) {
-  RAMR_REQUIRE(v > lo, "config key \"" << path << "\": must be > " << lo
-                                       << ", got " << v);
+  RAMR_INPUT_CHECK(v > lo, "config key \"" << path << "\": must be > " << lo
+                                           << ", got " << v);
 }
 
 FluidState parse_state(const Json& value, const std::string& path,
@@ -167,11 +170,11 @@ Region parse_region(const Json& value, const std::string& path) {
   Reader r(value, path);
   Region reg;
   const std::string shape = r.get_string("shape", "");
-  RAMR_REQUIRE(shape == "box" || shape == "circle" || shape == "ramp",
-               "config key \"" << r.path_of("shape")
-                               << "\": expected \"box\", \"circle\" or "
-                                  "\"ramp\", got \""
-                               << shape << "\"");
+  RAMR_INPUT_CHECK(shape == "box" || shape == "circle" || shape == "ramp",
+                   "config key \"" << r.path_of("shape")
+                                   << "\": expected \"box\", \"circle\" or "
+                                      "\"ramp\", got \""
+                                   << shape << "\"");
   if (shape == "box") {
     reg.shape = Region::Shape::kBox;
     if (const Json* v = r.consume("state")) {
@@ -184,14 +187,14 @@ Region parse_region(const Json& value, const std::string& path) {
     if (r.has("y_min")) reg.y_min = r.get_number("y_min", 0.0);
     if (r.has("y_max")) reg.y_max = r.get_number("y_max", 0.0);
     if (reg.x_min && reg.x_max) {
-      RAMR_REQUIRE(*reg.x_min < *reg.x_max,
-                   "config key \"" << r.path_of("x_min")
-                                   << "\": x_min must be < x_max");
+      RAMR_INPUT_CHECK(*reg.x_min < *reg.x_max,
+                       "config key \"" << r.path_of("x_min")
+                                       << "\": x_min must be < x_max");
     }
     if (reg.y_min && reg.y_max) {
-      RAMR_REQUIRE(*reg.y_min < *reg.y_max,
-                   "config key \"" << r.path_of("y_min")
-                                   << "\": y_min must be < y_max");
+      RAMR_INPUT_CHECK(*reg.y_min < *reg.y_max,
+                       "config key \"" << r.path_of("y_min")
+                                       << "\": y_min must be < y_max");
     }
     reg.interface_side = r.get_string("interface_side", "");
     reg.interface_amplitude = r.get_number("interface_amplitude", 0.0);
@@ -205,12 +208,12 @@ Region parse_region(const Json& value, const std::string& path) {
           (reg.interface_side == "x_max" && reg.x_max) ||
           (reg.interface_side == "y_min" && reg.y_min) ||
           (reg.interface_side == "y_max" && reg.y_max);
-      RAMR_REQUIRE(names_present_bound,
-                   "config key \"" << r.path_of("interface_side")
-                                   << "\": must name a bound present on this "
-                                      "box (\"x_min\", \"x_max\", \"y_min\" "
-                                      "or \"y_max\"), got \""
-                                   << reg.interface_side << "\"");
+      RAMR_INPUT_CHECK(names_present_bound,
+                       "config key \"" << r.path_of("interface_side")
+                           << "\": must name a bound present on this box "
+                              "(\"x_min\", \"x_max\", \"y_min\" or \"y_max\"), "
+                              "got \""
+                           << reg.interface_side << "\"");
     }
   } else if (shape == "circle") {
     reg.shape = Region::Shape::kCircle;
@@ -223,17 +226,17 @@ Region parse_region(const Json& value, const std::string& path) {
   } else {
     reg.shape = Region::Shape::kRamp;
     const std::string axis = r.get_string("axis", "x");
-    RAMR_REQUIRE(axis == "x" || axis == "y",
-                 "config key \"" << r.path_of("axis")
-                                 << "\": expected \"x\" or \"y\", got \""
-                                 << axis << "\"");
+    RAMR_INPUT_CHECK(axis == "x" || axis == "y",
+                     "config key \"" << r.path_of("axis")
+                                     << "\": expected \"x\" or \"y\", got \""
+                                     << axis << "\"");
     reg.ramp_axis = axis == "x" ? 0 : 1;
     reg.ramp_from = r.get_number("from", 0.0);
     reg.ramp_to = r.get_number("to", 1.0);
-    RAMR_REQUIRE(reg.ramp_from < reg.ramp_to,
-                 "config key \"" << r.path_of("from")
-                                 << "\": must be < \"to\", got [" << reg.ramp_from
-                                 << ", " << reg.ramp_to << "]");
+    RAMR_INPUT_CHECK(reg.ramp_from < reg.ramp_to,
+                     "config key \"" << r.path_of("from")
+                         << "\": must be < \"to\", got ["
+                         << reg.ramp_from << ", " << reg.ramp_to << "]");
     if (const Json* v = r.consume("state0")) {
       reg.ramp_state0 = parse_state(*v, r.path_of("state0"));
     }
@@ -292,10 +295,10 @@ vgpu::DeviceSpec device_preset(const std::string& name,
   if (name == "xeon_e5_2670_node") return vgpu::xeon_e5_2670_node();
   if (name == "xeon_e5_2670_socket") return vgpu::xeon_e5_2670_socket();
   if (name == "opteron_6274_node") return vgpu::opteron_6274_node();
-  RAMR_FAIL("config key \"" << path << "\": unknown device preset \"" << name
-                            << "\"; known presets: tesla_k20x, "
-                               "xeon_e5_2670_node, xeon_e5_2670_socket, "
-                               "opteron_6274_node");
+  RAMR_INPUT_FAIL("config key \"" << path
+                      << "\": unknown device preset \"" << name
+                      << "\"; known presets: tesla_k20x, xeon_e5_2670_node, "
+                         "xeon_e5_2670_socket, opteron_6274_node");
 }
 
 vgpu::DeviceSpec parse_device(const Json& value, const std::string& path) {
@@ -321,8 +324,9 @@ vgpu::DeviceSpec parse_device(const Json& value, const std::string& path) {
   require_ge(spec.pcie_lat_s, 0.0, r.path_of("pcie_lat_s"));
   require_ge(spec.half_saturation_threads, 0.0,
              r.path_of("half_saturation_threads"));
-  RAMR_REQUIRE(spec.mem_bytes > 0, "config key \"" << r.path_of("mem_bytes")
-                                                   << "\": must be positive");
+  RAMR_INPUT_CHECK(spec.mem_bytes > 0,
+                   "config key \"" << r.path_of("mem_bytes")
+                       << "\": must be positive");
   r.finish();
   return spec;
 }
@@ -332,10 +336,10 @@ vgpu::PeerLinkSpec peer_link_preset(const std::string& name,
   if (name == "nvlink") return vgpu::nvlink2();
   if (name == "pcie_switch") return vgpu::pcie_switch();
   if (name == "ideal") return vgpu::ideal_peer_link();
-  RAMR_FAIL("config key \"" << path << "\": unknown peer link preset \""
-                            << name
-                            << "\"; known presets: nvlink, pcie_switch, "
-                               "ideal");
+  RAMR_INPUT_FAIL("config key \"" << path << "\": unknown peer link preset \""
+                                  << name
+                                  << "\"; known presets: nvlink, pcie_switch, "
+                                     "ideal");
 }
 
 vgpu::TopologySpec parse_topology(const Json& value, const std::string& path) {
@@ -388,9 +392,10 @@ simmpi::NetworkSpec network_preset(const std::string& name,
   if (name == "ideal") return simmpi::ideal_network();
   if (name == "fdr_infiniband") return simmpi::fdr_infiniband();
   if (name == "cray_gemini") return simmpi::cray_gemini();
-  RAMR_FAIL("config key \"" << path << "\": unknown network preset \"" << name
-                            << "\"; known presets: ideal, fdr_infiniband, "
-                               "cray_gemini");
+  RAMR_INPUT_FAIL("config key \"" << path
+                      << "\": unknown network preset \"" << name
+                      << "\"; known presets: ideal, fdr_infiniband, "
+                         "cray_gemini");
 }
 
 simmpi::NetworkSpec parse_network(const Json& value, const std::string& path) {
@@ -412,15 +417,16 @@ ScenarioSpec parse_scenario(const Json& value, const std::string& path) {
   Reader r(value, path);
   ScenarioSpec spec;
   spec.name = r.get_string("name", "custom");
-  RAMR_REQUIRE(!spec.name.empty(),
-               "config key \"" << r.path_of("name") << "\": must be non-empty");
+  RAMR_INPUT_CHECK(!spec.name.empty(),
+                   "config key \"" << r.path_of("name")
+                       << "\": must be non-empty");
   spec.domain_lower = r.get_pair("domain_lower", {0.0, 0.0});
   spec.domain_upper = r.get_pair("domain_upper", {1.0, 1.0});
-  RAMR_REQUIRE(spec.domain_lower[0] < spec.domain_upper[0] &&
-                   spec.domain_lower[1] < spec.domain_upper[1],
-               "config key \"" << r.path_of("domain_upper")
-                               << "\": domain_upper must exceed domain_lower "
-                                  "on both axes");
+  RAMR_INPUT_CHECK(spec.domain_lower[0] < spec.domain_upper[0] &&
+                       spec.domain_lower[1] < spec.domain_upper[1],
+                   "config key \"" << r.path_of("domain_upper")
+                       << "\": domain_upper must exceed domain_lower on "
+                          "both axes");
   spec.gamma = r.get_number("gamma", 1.4);
   require_gt(spec.gamma, 1.0, r.path_of("gamma"));
   spec.gravity = r.get_pair("gravity", {0.0, 0.0});
@@ -428,9 +434,10 @@ ScenarioSpec parse_scenario(const Json& value, const std::string& path) {
     spec.background = parse_state(*v, r.path_of("background"));
   }
   if (const Json* v = r.consume("regions")) {
-    RAMR_REQUIRE(v->is_array(), "config key \"" << r.path_of("regions")
-                                                << "\": expected an array, got "
-                                                << Json::type_name(v->type()));
+    RAMR_INPUT_CHECK(v->is_array(),
+                     "config key \"" << r.path_of("regions")
+                         << "\": expected an array, got "
+                         << Json::type_name(v->type()));
     for (std::size_t i = 0; i < v->as_array().size(); ++i) {
       spec.regions.push_back(
           parse_region(v->as_array()[i],
@@ -481,23 +488,23 @@ util::FaultSiteConfig parse_fault_site(const Json& value,
   s.step_probability = r.get_number("step_probability", s.step_probability);
   require_ge(s.probability, 0.0, r.path_of("probability"));
   require_ge(s.step_probability, 0.0, r.path_of("step_probability"));
-  RAMR_REQUIRE(s.probability <= 1.0 && s.step_probability <= 1.0,
-               "config key \"" << path << "\": probabilities must be <= 1");
+  RAMR_INPUT_CHECK(s.probability <= 1.0 && s.step_probability <= 1.0,
+                   "config key \"" << path << "\": probabilities must be <= 1");
   if (const Json* v = r.consume("at_steps")) {
-    RAMR_REQUIRE(v->is_array(), "config key \"" << r.path_of("at_steps")
-                 << "\": expected an array of integers");
+    RAMR_INPUT_CHECK(v->is_array(), "config key \"" << r.path_of("at_steps")
+                     << "\": expected an array of integers");
     for (const Json& e : v->as_array()) {
-      RAMR_REQUIRE(e.is_integer(), "config key \"" << r.path_of("at_steps")
-                   << "\": expected an array of integers");
+      RAMR_INPUT_CHECK(e.is_integer(), "config key \"" << r.path_of("at_steps")
+                       << "\": expected an array of integers");
       s.at_steps.push_back(static_cast<int>(e.as_integer()));
     }
   }
   if (const Json* v = r.consume("at_events")) {
-    RAMR_REQUIRE(v->is_array(), "config key \"" << r.path_of("at_events")
-                 << "\": expected an array of integers");
+    RAMR_INPUT_CHECK(v->is_array(), "config key \"" << r.path_of("at_events")
+                     << "\": expected an array of integers");
     for (const Json& e : v->as_array()) {
-      RAMR_REQUIRE(e.is_integer(), "config key \"" << r.path_of("at_events")
-                   << "\": expected an array of integers");
+      RAMR_INPUT_CHECK(e.is_integer(), "config key \"" << r.path_of("at_events")
+                       << "\": expected an array of integers");
       s.at_events.push_back(e.as_integer());
     }
   }
@@ -571,19 +578,20 @@ RunConfig parse_run_config(const Json& root) {
   // --- problem selection: a registered name, or an inline scenario.
   const bool has_scenario = r.has("scenario");
   if (const Json* v = r.consume("problem")) {
-    RAMR_REQUIRE(v->is_string(), "config key \"problem\": expected a string, "
-                                 "got " << Json::type_name(v->type()));
-    RAMR_REQUIRE(!has_scenario,
-                 "config key \"problem\": cannot be combined with an inline "
-                 "\"scenario\" block (the scenario names itself)");
+    RAMR_INPUT_CHECK(v->is_string(),
+                     "config key \"problem\": expected a string, got "
+                         << Json::type_name(v->type()));
+    RAMR_INPUT_CHECK(!has_scenario,
+                     "config key \"problem\": cannot be combined with an "
+                     "inline \"scenario\" block (the scenario names itself)");
     const std::string& name = v->as_string();
     if (!app::ProblemRegistry::instance().contains(name)) {
       std::string known;
       for (const std::string& n : app::ProblemRegistry::instance().names()) {
         known += known.empty() ? n : ", " + n;
       }
-      RAMR_FAIL("config key \"problem\": unknown problem \""
-                << name << "\"; registered problems: " << known);
+      RAMR_INPUT_FAIL("config key \"problem\": unknown problem \""
+                      << name << "\"; registered problems: " << known);
     }
     config.sim.problem = name;
   }
@@ -626,22 +634,22 @@ RunConfig parse_run_config(const Json& root) {
     } else if (bm == "measured") {
       config.sim.balance_method = amr::BalanceMethod::kMeasured;
     } else {
-      RAMR_FAIL("config key \"" << a.path_of("balance_method")
-                                << "\": expected \"morton\", \"greedy\" or "
-                                   "\"measured\", got \""
-                                << bm << "\"");
+      RAMR_INPUT_FAIL("config key \"" << a.path_of("balance_method")
+                          << "\": expected \"morton\", \"greedy\" or "
+                             "\"measured\", got \""
+                          << bm << "\"");
     }
     require_ge(config.sim.max_levels, 1, a.path_of("max_levels"));
     // The refinement machinery (operator stencils, rind widths, tag
     // coarsening) is built for power-of-two ratios; anything else only
     // "works" until the first regrid.
-    RAMR_REQUIRE(
-        config.sim.max_levels == 1 ||
-            (config.sim.ratio == 2 || config.sim.ratio == 4),
-        "config key \"" << a.path_of("ratio")
-                        << "\": refinement ratio must be 2 or 4 when "
-                           "max_levels > 1, got "
-                        << config.sim.ratio);
+    RAMR_INPUT_CHECK(
+            config.sim.max_levels == 1 ||
+                (config.sim.ratio == 2 || config.sim.ratio == 4),
+            "config key \"" << a.path_of("ratio")
+                            << "\": refinement ratio must be 2 or 4 when "
+                               "max_levels > 1, got "
+                            << config.sim.ratio);
     require_ge(config.sim.ratio, 1, a.path_of("ratio"));
     require_ge(config.sim.regrid_interval, 1, a.path_of("regrid_interval"));
     require_ge(config.sim.tag_buffer, 0, a.path_of("tag_buffer"));
@@ -651,10 +659,10 @@ RunConfig parse_run_config(const Json& root) {
     require_ge(config.sim.min_patch_size, 1, a.path_of("min_patch_size"));
     require_gt(config.sim.cluster_efficiency, 0.0,
                a.path_of("cluster_efficiency"));
-    RAMR_REQUIRE(config.sim.cluster_efficiency <= 1.0,
-                 "config key \"" << a.path_of("cluster_efficiency")
-                                 << "\": must be <= 1, got "
-                                 << config.sim.cluster_efficiency);
+    RAMR_INPUT_CHECK(config.sim.cluster_efficiency <= 1.0,
+                     "config key \"" << a.path_of("cluster_efficiency")
+                                     << "\": must be <= 1, got "
+                                     << config.sim.cluster_efficiency);
     a.finish();
   }
 
@@ -709,9 +717,9 @@ RunConfig parse_run_config(const Json& root) {
       try {
         (void)util::parse_log_level(oc.log_level);
       } catch (const util::Error&) {
-        RAMR_FAIL("config key \"" << o.path_of("log_level")
-                  << "\": unknown log level \"" << oc.log_level
-                  << "\" (expected debug, info, warn, or error)");
+        RAMR_INPUT_FAIL("config key \"" << o.path_of("log_level")
+                        << "\": unknown log level \"" << oc.log_level
+                        << "\" (expected debug, info, warn, or error)");
       }
     }
     o.finish();

@@ -28,8 +28,8 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& message) const {
-    RAMR_FAIL("JSON parse error at line " << line_ << ", column " << column_
-                                          << ": " << message);
+    RAMR_INPUT_FAIL("JSON parse error at line " << line_ << ", column "
+                                               << column_ << ": " << message);
   }
 
   bool eof() const { return pos_ >= text_.size(); }

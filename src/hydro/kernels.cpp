@@ -879,7 +879,8 @@ FieldSummary field_summary(vgpu::Device& dev, vgpu::Stream& s, const Box& box,
             local.kinetic_energy += cell_mass * 0.5 * vsqrd;
           }
         }
-      });
+      },
+      /*grain=*/1);  // each index is a whole block of kBlock cells
   FieldSummary total;
   for (const FieldSummary& p : partial) {
     total.mass += p.mass;

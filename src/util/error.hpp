@@ -3,8 +3,10 @@
 // Following the C++ Core Guidelines (E.2, E.3) we throw exceptions for
 // errors that callers can reasonably handle, and terminate via the
 // always-on RAMR_REQUIRE check for contract violations that indicate a
-// programming error. Hot-loop bounds checks use RAMR_DEBUG_ASSERT, which
-// compiles away in release builds.
+// programming error. Bad input from outside the program is reported with
+// RAMR_INPUT_CHECK, whose message is the plain text a user can act on.
+// Hot-loop bounds checks use RAMR_DEBUG_ASSERT, which compiles away in
+// release builds.
 #pragma once
 
 #include <sstream>
@@ -46,6 +48,25 @@ namespace detail {
     ramr_fail_oss_ << msg;                                               \
     ::ramr::util::detail::fail("failure", "(unreachable)", __FILE__,     \
                                __LINE__, ramr_fail_oss_.str());          \
+  } while (false)
+
+/// Check on input from outside the program (a config file, a JSON
+/// document). On failure throws ramr::util::Error carrying only the
+/// streamed message: the failed expression and source location of
+/// RAMR_REQUIRE mean nothing to whoever wrote the input.
+#define RAMR_INPUT_CHECK(expr, msg)                \
+  do {                                             \
+    if (!(expr)) {                                 \
+      RAMR_INPUT_FAIL(msg);                        \
+    }                                              \
+  } while (false)
+
+/// Unconditional input error with message; see RAMR_INPUT_CHECK.
+#define RAMR_INPUT_FAIL(msg)                           \
+  do {                                                 \
+    std::ostringstream ramr_input_oss_;                \
+    ramr_input_oss_ << msg;                            \
+    throw ::ramr::util::Error(ramr_input_oss_.str());  \
   } while (false)
 
 /// Debug-only assertion for hot paths (bounds checks in array views and

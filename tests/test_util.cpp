@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util/array_view.hpp"
@@ -107,6 +109,122 @@ TEST(ThreadPool, SequentialReuse) {
     });
     ASSERT_EQ(sum.load(), 1000 * 999 / 2);
   }
+}
+
+TEST(ThreadPool, TwoCallersShareOnePool) {
+  util::ThreadPool pool(4);
+  constexpr std::int64_t n = 3 * util::ThreadPool::kDefaultGrain;
+  constexpr int kRounds = 1000;
+  std::vector<std::atomic<int>> hits_a(n);
+  std::vector<std::atomic<int>> hits_b(n);
+  auto caller = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int round = 0; round < kRounds; ++round) {
+      pool.parallel_for(n, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) {
+          hits[static_cast<std::size_t>(i)].fetch_add(1);
+        }
+      });
+    }
+  };
+  std::thread a(caller, std::ref(hits_a));
+  std::thread b(caller, std::ref(hits_b));
+  a.join();
+  b.join();
+  for (std::int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits_a[static_cast<std::size_t>(i)].load(), kRounds) << i;
+    ASSERT_EQ(hits_b[static_cast<std::size_t>(i)].load(), kRounds) << i;
+  }
+}
+
+TEST(ThreadPool, RangesAtTheGrainCoverEveryIndexOnce) {
+  util::ThreadPool pool(4);
+  for (std::int64_t grain : {std::int64_t{1}, std::int64_t{7},
+                             util::ThreadPool::kDefaultGrain}) {
+    for (std::int64_t n : {grain, grain + 1}) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      std::atomic<int> calls{0};
+      pool.parallel_for(
+          n,
+          [&](std::int64_t b, std::int64_t e) {
+            ++calls;
+            for (std::int64_t i = b; i < e; ++i) {
+              hits[static_cast<std::size_t>(i)].fetch_add(1);
+            }
+          },
+          grain);
+      for (const auto& h : hits) {
+        ASSERT_EQ(h.load(), 1) << "grain " << grain << " n " << n;
+      }
+      if (n == grain) {
+        EXPECT_EQ(calls.load(), 1) << "a range of one grain runs inline";
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ChunksAreNeverSmallerThanTheGrain) {
+  util::ThreadPool pool(4);
+  constexpr std::int64_t grain = 100;
+  constexpr std::int64_t n = 1000;
+  std::atomic<int> short_chunks{0};
+  pool.parallel_for(
+      n,
+      [&](std::int64_t b, std::int64_t e) {
+        if (e - b < grain && e != n) {
+          ++short_chunks;
+        }
+      },
+      grain);
+  EXPECT_EQ(short_chunks.load(), 0);
+}
+
+TEST(ThreadPool, BackToBackLaunchesComplete) {
+  util::ThreadPool pool(4);
+  constexpr std::int64_t n = 3 * util::ThreadPool::kDefaultGrain;
+  std::atomic<std::int64_t> total{0};
+  for (int round = 0; round < 100000; ++round) {
+    pool.parallel_for(n, [&](std::int64_t b, std::int64_t e) {
+      total.fetch_add(e - b, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(total.load(), n * 100000);
+}
+
+TEST(ThreadPool, BuildAndDestroyWithoutLaunching) {
+  for (int i = 0; i < 200; ++i) {
+    util::ThreadPool pool(4);
+  }
+}
+
+TEST(ThreadPool, NestedCallRunsOnTheChunksThread) {
+  util::ThreadPool pool(4);
+  constexpr std::int64_t n = 64 * util::ThreadPool::kDefaultGrain;
+  std::atomic<int> moved{0};
+  pool.parallel_for(n, [&](std::int64_t, std::int64_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.parallel_for(n, [&](std::int64_t, std::int64_t) {
+      if (std::this_thread::get_id() != outer) {
+        ++moved;
+      }
+    });
+  });
+  EXPECT_EQ(moved.load(), 0);
+}
+
+TEST(ThreadPool, ChunkExceptionReachesTheCaller) {
+  util::ThreadPool pool(4);
+  constexpr std::int64_t n = 16 * util::ThreadPool::kDefaultGrain;
+  EXPECT_THROW(pool.parallel_for(n,
+                                 [&](std::int64_t b, std::int64_t) {
+                                   if (b > 0) {
+                                     throw util::Error("chunk failed");
+                                   }
+                                 }),
+               util::Error);
+  // The pool is usable afterwards.
+  std::atomic<std::int64_t> total{0};
+  pool.parallel_for(n, [&](std::int64_t b, std::int64_t e) { total += e - b; });
+  EXPECT_EQ(total.load(), n);
 }
 
 TEST(RunningStats, Accumulates) {
