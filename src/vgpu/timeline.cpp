@@ -8,7 +8,12 @@
 namespace ramr::vgpu {
 
 Timeline::Timeline(SimClock& clock) : clock_(&clock) {
-  lanes_.push_back(Lane{"host", 0.0, 0.0});
+  // The host lane and the four transfer engines (comm kernels, NIC, the
+  // two PCIe copy engines) exist from the start, so reading one of them
+  // never moves a later fork.
+  for (const char* name : {"host", "comm", "net", "d2h", "h2d"}) {
+    lanes_.push_back(Lane{name, 0.0, 0.0});
+  }
   active_stack_.push_back(kHostLane);
   RAMR_REQUIRE(clock_->timeline() == nullptr,
                "SimClock already has an attached timeline");

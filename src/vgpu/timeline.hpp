@@ -41,7 +41,8 @@ class SimClock;
 class Timeline {
  public:
   /// Lane 0 always exists: the host/compute lane every charge lands on
-  /// unless a scope routes it elsewhere.
+  /// unless a scope routes it elsewhere. The transfer engines "comm",
+  /// "net", "d2h" and "h2d" also exist from construction, at time 0.
   static constexpr int kHostLane = 0;
 
   /// Attaches to `clock`: every subsequent clock charge advances the

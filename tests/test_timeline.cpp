@@ -43,6 +43,24 @@ TEST(Timeline, ChargesAdvanceActiveLaneAndClockStaysSerial) {
   EXPECT_DOUBLE_EQ(tl.overlap_seconds_saved(), 0.0);
 }
 
+TEST(Timeline, TransferEngineLanesExistFromConstructionAtTimeZero) {
+  // The four transfer engines are born with the host lane, so looking
+  // one up later (a read-only busy probe) never creates it at a later
+  // host cursor and never moves the start of work routed to it.
+  SimClock clock;
+  Timeline tl(clock);
+  ASSERT_EQ(tl.lane_count(), 5u);
+  clock.charge(2.0);  // host cursor moves; the engines stay at 0
+  for (const char* name : {"comm", "net", "d2h", "h2d"}) {
+    const int lane = tl.lane(name);
+    EXPECT_NE(lane, Timeline::kHostLane) << name;
+    EXPECT_EQ(tl.lane_name(lane), name);
+    EXPECT_DOUBLE_EQ(tl.now(lane), 0.0) << name;
+    EXPECT_DOUBLE_EQ(tl.busy(lane), 0.0) << name;
+  }
+  EXPECT_EQ(tl.lane_count(), 5u);
+}
+
 TEST(Timeline, OverlappedLanesCompleteAtMaxNotSum) {
   // Host does 2 s of work while the comm lane (forked at t=1) does 5 s:
   // the makespan is the MAX of the chains (1 + 5 = 6), not the serial

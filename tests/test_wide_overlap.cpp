@@ -6,6 +6,7 @@
 // per-window TransferCounters breakdown.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -452,6 +453,65 @@ TEST(WideOverlap, SavesMoreThanTheSingleWindowOnDistributedConfig) {
   EXPECT_GT(wide_saved, narrow_saved);
   EXPECT_LT(wide_worst, sync_worst);
   (void)narrow_worst;
+}
+
+
+TEST(WideOverlap, WindowSequenceIsPinnedInEveryStepShape) {
+  // Fills and split-phase fills of every fill window after three steps
+  // of a 2-level Sod with no regrid, in the four step shapes: sync and
+  // async on one rank, async on two ranks with and without wide
+  // overlap. Two levels make two schedule executions per window per
+  // fill; per step the pressure and post-cell windows run twice and
+  // every other window once. Only the mode of a window changes with
+  // the shape, never the sequence.
+  using Counts = std::array<std::uint64_t, app::TransferCounters::kWindowCount>;
+  struct Shape {
+    const char* name;
+    int ranks;
+    bool async;
+    bool wide;
+    Counts fills;
+    Counts split_fills;
+  };
+  //                        state pressure viscosity preadvec postcell
+  const Counts kFills = {6, 12, 6, 6, 12};
+  const std::vector<Shape> shapes = {
+      {"sync, 1 rank", 1, false, true, kFills, {0, 0, 0, 0, 0}},
+      {"async, 1 rank", 1, true, true, kFills, {6, 0, 0, 0, 0}},
+      {"async narrow, 2 ranks", 2, true, false, kFills, {6, 0, 0, 0, 0}},
+      {"async wide, 2 ranks", 2, true, true, kFills, kFills},
+  };
+  for (const Shape& shape : shapes) {
+    app::SimulationConfig cfg;
+    cfg.problem = "sod";
+    cfg.nx = 64;
+    cfg.ny = 64;
+    cfg.max_levels = 2;
+    cfg.regrid_interval = 0;
+    cfg.max_patch_cells = 16 * 16;
+    cfg.async_overlap = shape.async;
+    cfg.wide_overlap = shape.wide;
+    std::mutex mu;
+    std::vector<app::TransferCounters> per_rank;
+    simmpi::World world(shape.ranks, simmpi::fdr_infiniband());
+    world.run([&](simmpi::Communicator& comm) {
+      app::Simulation sim(cfg, &comm);
+      sim.initialize();
+      ASSERT_EQ(sim.hierarchy().num_levels(), 2);
+      sim.run(3);
+      std::lock_guard<std::mutex> lock(mu);
+      per_rank.push_back(sim.integrator().transfer_counters());
+    });
+    ASSERT_EQ(per_rank.size(), static_cast<std::size_t>(shape.ranks));
+    for (const app::TransferCounters& tc : per_rank) {
+      for (int w = 0; w < app::TransferCounters::kWindowCount; ++w) {
+        EXPECT_EQ(tc.window[w].fills, shape.fills[w])
+            << shape.name << ", window " << app::TransferCounters::window_name(w);
+        EXPECT_EQ(tc.window[w].split_fills, shape.split_fills[w])
+            << shape.name << ", window " << app::TransferCounters::window_name(w);
+      }
+    }
+  }
 }
 
 }  // namespace
