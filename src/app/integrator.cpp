@@ -94,6 +94,20 @@ void LagrangianEulerianIntegrator::rebuild_schedules() {
   }
 }
 
+void LagrangianEulerianIntegrator::count_fill(
+    const xfer::RefineSchedule& sched, TransferCounters::Window window,
+    bool split) {
+  ++xfer_counters_.halo_fills;
+  ++xfer_counters_.window[window].fills;
+  if (split) {
+    ++xfer_counters_.split_fills;
+    ++xfer_counters_.window[window].split_fills;
+  }
+  xfer_counters_.messages_sent += sched.messages_sent_per_fill();
+  xfer_counters_.messages_received += sched.messages_received_per_fill();
+  xfer_counters_.bytes_sent += sched.bytes_sent_per_fill();
+}
+
 void LagrangianEulerianIntegrator::fill_all(
     std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds,
     TransferCounters::Window window) {
@@ -101,40 +115,7 @@ void LagrangianEulerianIntegrator::fill_all(
   // coarse-fill gathers from them.
   for (auto& sched : scheds) {
     sched->fill();
-    ++xfer_counters_.halo_fills;
-    ++xfer_counters_.window[window].fills;
-    xfer_counters_.messages_sent += sched->messages_sent_per_fill();
-    xfer_counters_.messages_received += sched->messages_received_per_fill();
-    xfer_counters_.bytes_sent += sched->bytes_sent_per_fill();
-  }
-}
-
-void LagrangianEulerianIntegrator::begin_all(
-    std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds) {
-  // Every level's same-level exchange starts here: its begin phase only
-  // reads that level's interiors and writes that level's ghosts (the
-  // wide-overlap early gather reads only the coarser level's
-  // strictly-interior data), so the begins are mutually independent and
-  // the wire time of all levels' messages is in flight together.
-  for (auto& sched : scheds) {
-    sched->fill_begin();
-  }
-}
-
-void LagrangianEulerianIntegrator::finish_all(
-    std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds,
-    TransferCounters::Window window) {
-  // Finish coarse-to-fine, like fill_all: a level's coarse gather reads
-  // the coarser level's ghosts, which its (earlier) finish completed.
-  for (auto& sched : scheds) {
-    sched->fill_finish();
-    ++xfer_counters_.halo_fills;
-    ++xfer_counters_.split_fills;
-    ++xfer_counters_.window[window].fills;
-    ++xfer_counters_.window[window].split_fills;
-    xfer_counters_.messages_sent += sched->messages_sent_per_fill();
-    xfer_counters_.messages_received += sched->messages_received_per_fill();
-    xfer_counters_.bytes_sent += sched->bytes_sent_per_fill();
+    count_fill(*sched, window, /*split=*/false);
   }
 }
 
@@ -146,92 +127,106 @@ bool LagrangianEulerianIntegrator::wide_overlap_active() const {
   return ctx_->timeline != nullptr && ctx_->wide_overlap && !ctx_->is_serial();
 }
 
-double LagrangianEulerianIntegrator::overlap_saved_now() const {
-  return ctx_->timeline != nullptr ? ctx_->timeline->overlap_seconds_saved()
-                                   : 0.0;
-}
-
-double LagrangianEulerianIntegrator::comm_busy_now() const {
-  // Comm kernels + wire legs + the two PCIe copy engines: everything a
-  // window's exchange occupies off the host lane.
-  vgpu::Timeline* tl = ctx_->timeline;
-  if (tl == nullptr) {
-    return 0.0;
-  }
-  return tl->busy(tl->lane("comm")) + tl->busy(tl->lane("net")) +
-         tl->busy(tl->lane("d2h")) + tl->busy(tl->lane("h2d"));
+void LagrangianEulerianIntegrator::hydro_stage(
+    vgpu::LaunchTag tag, const std::function<void()>& body) {
+  vgpu::AnnotationScope annotation(clock_, "stage:hydro");
+  vgpu::ComponentScope scope(*clock_, "hydro");
+  vgpu::LaunchTagScope launch_tag(ctx_->device, tag);
+  body();
 }
 
 void LagrangianEulerianIntegrator::fill_window(
     TransferCounters::Window window,
-    std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds,
+    std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds, Overlap mode,
     const StageFn& stage) {
   static constexpr const char* kWindowAnnotations
       [TransferCounters::kWindowCount] = {"window:state", "window:pressure",
                                           "window:viscosity",
                                           "window:preadvec", "window:postcell"};
   vgpu::AnnotationScope annotation(clock_, kWindowAnnotations[window]);
-  const double saved0 = overlap_saved_now();
-  const double comm0 = comm_busy_now();
-  if (wide_overlap_active()) {
-    {
-      vgpu::ComponentScope scope(*clock_, "boundary");
-      begin_all(scheds);
+  // The timeline's overlap_seconds_saved, and the busy seconds of the
+  // comm kernels, wire legs and both PCIe copy engines: everything the
+  // exchange occupies off the host lane (both 0 without a timeline).
+  // Read-only: the Timeline creates these lanes at construction.
+  const auto probe = [tl = ctx_->timeline]() -> std::array<double, 2> {
+    if (tl == nullptr) {
+      return {0.0, 0.0};
     }
-    {
-      // The ghost-free interior sweep runs on the host lane while the
-      // exchange's wire legs ride the comm/net lanes.
-      vgpu::ComponentScope scope(*clock_, "hydro");
-      vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
-      stage(hydro::SweepPart::kInterior);
-    }
-    {
-      vgpu::ComponentScope scope(*clock_, "boundary");
-      finish_all(scheds, window);
-    }
-    {
-      // Boundary rind: the shell cells whose stencils read the ghosts
-      // the finish just filled.
-      vgpu::ComponentScope scope(*clock_, "hydro");
-      vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kRind);
-      stage(hydro::SweepPart::kRind);
-    }
-  } else {
+    return {tl->overlap_seconds_saved(),
+            tl->busy(tl->lane("comm")) + tl->busy(tl->lane("net")) +
+                tl->busy(tl->lane("d2h")) + tl->busy(tl->lane("h2d"))};
+  };
+  const std::array<double, 2> before = probe();
+  const auto sweep = [&](hydro::SweepPart part, vgpu::LaunchTag tag) {
+    hydro_stage(tag, [&] { stage(part); });
+  };
+  if (mode == Overlap::kNone) {
     {
       vgpu::ComponentScope scope(*clock_, "boundary");
       fill_all(scheds, window);
     }
+    sweep(hydro::SweepPart::kAll, vgpu::LaunchTag::kHydro);
+  } else {
     {
-      vgpu::ComponentScope scope(*clock_, "hydro");
-      vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
-      stage(hydro::SweepPart::kAll);
+      // Every level's same-level exchange starts here: its begin phase
+      // only reads that level's interiors and writes that level's ghosts
+      // (the wide-overlap early gather reads only the coarser level's
+      // strictly-interior data), so the begins are mutually independent
+      // and the wire time of all levels' messages is in flight together.
+      vgpu::ComponentScope scope(*clock_, "boundary");
+      for (auto& sched : scheds) {
+        sched->fill_begin();
+      }
+    }
+    // The ghost-free part of the stage runs on the host lane while the
+    // exchange's wire legs ride the comm/net lanes.
+    sweep(mode == Overlap::kSplit ? hydro::SweepPart::kInterior
+                                  : hydro::SweepPart::kAll,
+          vgpu::LaunchTag::kHydro);
+    {
+      // Finish coarse-to-fine, like fill_all: a level's coarse gather
+      // reads the coarser level's ghosts, which its (earlier) finish
+      // completed.
+      vgpu::ComponentScope scope(*clock_, "boundary");
+      for (auto& sched : scheds) {
+        sched->fill_finish();
+        count_fill(*sched, window, /*split=*/true);
+      }
+    }
+    if (mode == Overlap::kSplit) {
+      // Boundary rind: the shell cells whose stencils read the ghosts
+      // the finish just filled.
+      sweep(hydro::SweepPart::kRind, vgpu::LaunchTag::kRind);
     }
   }
-  xfer_counters_.window[window].overlap_seconds_saved +=
-      overlap_saved_now() - saved0;
-  xfer_counters_.window[window].comm_seconds += comm_busy_now() - comm0;
+  const std::array<double, 2> after = probe();
+  xfer_counters_.window[window].overlap_seconds_saved += after[0] - before[0];
+  xfer_counters_.window[window].comm_seconds += after[1] - before[1];
 }
 
 double LagrangianEulerianIntegrator::advance() {
   hier::PatchHierarchy& h = *hierarchy_;
   const int levels = h.num_levels();
   using Window = TransferCounters::Window;
+  using hydro::SweepPart;
 
-  // --- Boundary + EOS + viscosity + timestep --------------------------
-  //
-  // With a timeline attached (async-overlap runs) every halo exchange
-  // executes split-phase around compute that provably needs no ghosts:
-  // the state exchange around the pointwise EOS stage, and — under
-  // wide_overlap — each later exchange around the INTERIOR sweep of its
-  // consumer stencil stage (hydro::SweepPart), with the boundary rind
-  // swept after the exchange finished. The launches and their inputs are
-  // identical to the synchronous order (packs happen before any
-  // overlapped compute; interior sweeps read no in-flight ghost or seam
-  // data; rind sweeps read finished ghosts exactly as a post-fill stage
-  // would), so the fields are bit-identical; only the modeled completion
-  // time drops (docs/async_overlap.md).
-  const bool split_phase = ctx_->timeline != nullptr;
+  // One fixed sequence of fill windows; only each window's overlap mode
+  // depends on the run. With a timeline attached (async-overlap runs)
+  // the state exchange overlaps the pointwise EOS stage. Under wide
+  // overlap every stencil window also splits around the INTERIOR sweep
+  // of its consumer stage (hydro::SweepPart), with the boundary rind
+  // swept after the exchange finished. Otherwise each fill precedes its
+  // consumer stage whole. The launches and their inputs are identical in
+  // every mode (packs happen before any overlapped compute; interior
+  // sweeps read no in-flight ghost or seam data; rind sweeps read
+  // finished ghosts exactly as a post-fill stage would), so the fields
+  // are bit-identical; only the modeled completion time drops
+  // (docs/async_overlap.md).
   const bool wide = wide_overlap_active();
+  const Overlap state_mode =
+      ctx_->timeline != nullptr ? Overlap::kWhole : Overlap::kNone;
+  const Overlap stencil_mode = wide ? Overlap::kSplit : Overlap::kNone;
+  const Overlap viscosity_mode = wide ? Overlap::kWhole : Overlap::kNone;
   LevelKernelRunner& run = *runner_;
   // Runs `body(level, geometry)` on every level, coarse to fine.
   const auto each_level = [&](auto&& body) {
@@ -239,161 +234,95 @@ double LagrangianEulerianIntegrator::advance() {
       body(h.level(l), geom_of(h.level(l)));
     }
   };
-  double dt = std::numeric_limits<double>::infinity();
-  const auto compute_dt_all = [&]() {
-    vgpu::AnnotationScope annotation(clock_, "stage:timestep");
-    vgpu::ComponentScope scope(*clock_, "timestep");
-    vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
-    each_level([&](auto& l, const auto& g) {
-      dt = std::min(dt, run.compute_dt(l, g));
-    });
-    if (ctx_->comm != nullptr) {
-      dt = ctx_->comm->allreduce(dt, simmpi::ReduceOp::kMin);
-    }
-  };
-  const auto hydro_stage = [&](auto&& body) {
-    vgpu::AnnotationScope annotation(clock_, "stage:hydro");
-    vgpu::ComponentScope scope(*clock_, "hydro");
-    vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
-    each_level(body);
-  };
-  const auto boundary = [&](auto&& body) {
-    vgpu::ComponentScope scope(*clock_, "boundary");
-    body();
-  };
-  if (wide) {
-    using hydro::SweepPart;
-    // State window: EOS is pointwise, so the whole stage is its own
-    // interior and there is no rind — the original single-window shape.
-    // (Keeping this window separate from the pressure window measures
-    // strictly better than fusing them: the two exchanges' chains share
-    // the comm lane and the copy engines, so beginning the second fill
-    // early only delays the first one's finish.)
-    {
-      vgpu::AnnotationScope annotation(clock_, "window:state");
-      const double saved0 = overlap_saved_now();
-      const double comm0 = comm_busy_now();
-      boundary([&] { begin_all(sched_state_); });
-      hydro_stage([&](auto& l, const auto& g) {
-        run.ideal_gas(l, g, /*predict=*/false);
-      });
-      boundary([&] { finish_all(sched_state_, Window::kState); });
-      xfer_counters_.window[Window::kState].overlap_seconds_saved +=
-          overlap_saved_now() - saved0;
-      xfer_counters_.window[Window::kState].comm_seconds +=
-          comm_busy_now() - comm0;
-    }
-    // First pressure window: hidden behind the viscosity interior.
-    fill_window(Window::kPressure, sched_pressure_,
-                [&](SweepPart part) {
-                  each_level([&](auto& l, const auto& g) {
-                    run.viscosity(l, g, part);
-                  });
-                });
-    // Viscosity window: neither the timestep reduction (allreduce
-    // included) nor the Lagrangian predictor reads any ghost, so the
-    // viscosity exchange stays in flight across BOTH and finishes just
-    // before the acceleration stage that consumes viscosity ghosts.
-    {
-      vgpu::AnnotationScope annotation(clock_, "window:viscosity");
-      const double saved0 = overlap_saved_now();
-      const double comm0 = comm_busy_now();
-      boundary([&] { begin_all(sched_viscosity_); });
-      compute_dt_all();
-      hydro_stage([&](auto& l, const auto& g) {
-        run.pdv(l, g, dt, /*predict=*/true);
-        run.ideal_gas(l, g, /*predict=*/true);
-      });
-      boundary([&] { finish_all(sched_viscosity_, Window::kViscosity); });
-      xfer_counters_.window[Window::kViscosity].overlap_seconds_saved +=
-          overlap_saved_now() - saved0;
-      xfer_counters_.window[Window::kViscosity].comm_seconds +=
-          comm_busy_now() - comm0;
-    }
-    // Second pressure window: the whole Lagrangian step's interiors run
-    // inside it — acceleration first, then the corrector and flux sweeps,
-    // whose velocity reads chain within the acceleration's interior
-    // (depths in hydro/kernels.cpp) and which read no in-flight ghost.
-    fill_window(Window::kPressure, sched_pressure_,
-                [&](SweepPart part) {
-                  each_level([&](auto& l, const auto& g) {
-                    run.accelerate(l, g, dt, part);
-                    run.pdv(l, g, dt, /*predict=*/false, part);
-                    run.flux_calc(l, g, dt, part);
-                  });
-                });
-  } else {
-    // Single-window (PR-4) and synchronous shapes: only the state
-    // exchange splits (around EOS); every other fill precedes its
-    // consumer stage whole.
-    {
-      vgpu::AnnotationScope annotation(clock_, "window:state");
-      const double saved0 = overlap_saved_now();
-      boundary([&] {
-        if (split_phase) {
-          begin_all(sched_state_);
-        } else {
-          fill_all(sched_state_, Window::kState);
-        }
-      });
-      hydro_stage([&](auto& l, const auto& g) {
-        run.ideal_gas(l, g, /*predict=*/false);
-      });
-      if (split_phase) {
-        boundary([&] { finish_all(sched_state_, Window::kState); });
-      }
-      xfer_counters_.window[Window::kState].overlap_seconds_saved +=
-          overlap_saved_now() - saved0;
-    }
-    boundary([&] { fill_all(sched_pressure_, Window::kPressure); });
-    hydro_stage([&](auto& l, const auto& g) { run.viscosity(l, g); });
-    boundary([&] { fill_all(sched_viscosity_, Window::kViscosity); });
-    compute_dt_all();
 
-    // --- Lagrangian step ----------------------------------------------
-    hydro_stage([&](auto& l, const auto& g) {
-      run.pdv(l, g, dt, /*predict=*/true);
-      run.ideal_gas(l, g, /*predict=*/true);
+  // --- EOS + viscosity + timestep --------------------------------------
+  // State window: EOS is pointwise, so the whole stage is its own
+  // interior. (Keeping this window separate from the pressure window
+  // measures strictly better than fusing them: the two exchanges' chains
+  // share the comm lane and the copy engines, so beginning the second
+  // fill early only delays the first one's finish.)
+  fill_window(Window::kState, sched_state_, state_mode, [&](SweepPart) {
+    each_level([&](auto& l, const auto& g) {
+      run.ideal_gas(l, g, /*predict=*/false);
     });
-    boundary([&] { fill_all(sched_pressure_, Window::kPressure); });
-    hydro_stage([&](auto& l, const auto& g) { run.accelerate(l, g, dt); });
-    hydro_stage(
-        [&](auto& l, const auto& g) { run.pdv(l, g, dt, /*predict=*/false); });
-    hydro_stage([&](auto& l, const auto& g) { run.flux_calc(l, g, dt); });
-  }
+  });
+  fill_window(Window::kPressure, sched_pressure_, stencil_mode,
+              [&](SweepPart part) {
+                each_level([&](auto& l, const auto& g) {
+                  run.viscosity(l, g, part);
+                });
+              });
+  // Viscosity window: neither the timestep reduction (allreduce
+  // included) nor the Lagrangian predictor reads any ghost, so the
+  // viscosity exchange can stay in flight across BOTH and finish just
+  // before the acceleration stage that consumes viscosity ghosts.
+  double dt = std::numeric_limits<double>::infinity();
+  fill_window(Window::kViscosity, sched_viscosity_, viscosity_mode,
+              [&](SweepPart) {
+                {
+                  vgpu::AnnotationScope annotation(clock_, "stage:timestep");
+                  vgpu::ComponentScope scope(*clock_, "timestep");
+                  each_level([&](auto& l, const auto& g) {
+                    dt = std::min(dt, run.compute_dt(l, g));
+                  });
+                  if (ctx_->comm != nullptr) {
+                    dt = ctx_->comm->allreduce(dt, simmpi::ReduceOp::kMin);
+                  }
+                }
+                each_level([&](auto& l, const auto& g) {
+                  run.pdv(l, g, dt, /*predict=*/true);
+                  run.ideal_gas(l, g, /*predict=*/true);
+                });
+              });
+
+  // --- Lagrangian step -------------------------------------------------
+  // Second pressure window: acceleration, then the corrector and flux
+  // sweeps, whose velocity reads chain within the acceleration's interior
+  // (depths in hydro/kernels.cpp) and which read no in-flight ghost. Each
+  // sub-stage sweeps every level before the next one starts. Modeled
+  // time sums the charges in launch order, so this order is part of the
+  // committed modeled results.
+  fill_window(Window::kPressure, sched_pressure_, stencil_mode,
+              [&](SweepPart part) {
+                each_level([&](auto& l, const auto& g) {
+                  run.accelerate(l, g, dt, part);
+                });
+                each_level([&](auto& l, const auto& g) {
+                  run.pdv(l, g, dt, /*predict=*/false, part);
+                });
+                each_level([&](auto& l, const auto& g) {
+                  run.flux_calc(l, g, dt, part);
+                });
+              });
 
   // --- Advection (directional split, alternating order) ----------------
   const bool x_first = (step_count_ % 2) == 0;
-  fill_window(Window::kPreAdvec, sched_preadvec_,
-              [&](hydro::SweepPart part) {
+  fill_window(Window::kPreAdvec, sched_preadvec_, stencil_mode,
+              [&](SweepPart part) {
                 each_level([&](auto& l, const auto& g) {
                   run.advec_cell(l, g, x_first, 1, part);
                 });
               });
-  fill_window(Window::kPostCell, sched_postcell_,
-              [&](hydro::SweepPart part) {
+  fill_window(Window::kPostCell, sched_postcell_, stencil_mode,
+              [&](SweepPart part) {
                 each_level([&](auto& l, const auto& g) {
                   run.advec_mom_both(l, g, x_first, 1, part);
                 });
               });
-  {
-    vgpu::ComponentScope scope(*clock_, "hydro");
-    vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
+  hydro_stage(vgpu::LaunchTag::kHydro, [&] {
     each_level([&](auto& l, const auto& g) {
       run.advec_cell(l, g, !x_first, 2);
     });
-  }
-  fill_window(Window::kPostCell, sched_postcell_,
-              [&](hydro::SweepPart part) {
+  });
+  fill_window(Window::kPostCell, sched_postcell_, stencil_mode,
+              [&](SweepPart part) {
                 each_level([&](auto& l, const auto& g) {
                   run.advec_mom_both(l, g, !x_first, 2, part);
                 });
               });
-  {
-    vgpu::ComponentScope scope(*clock_, "hydro");
-    vgpu::LaunchTagScope launch_tag(ctx_->device, vgpu::LaunchTag::kHydro);
+  hydro_stage(vgpu::LaunchTag::kHydro, [&] {
     each_level([&](auto& l, const auto& g) { run.reset_field(l, g); });
-  }
+  });
 
   // --- Synchronisation: fine solution replaces coarse -------------------
   {

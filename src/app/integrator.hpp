@@ -111,41 +111,44 @@ class LagrangianEulerianIntegrator {
   }
 
  private:
+  /// Books one finished schedule execution into the counters.
+  void count_fill(const xfer::RefineSchedule& sched,
+                  TransferCounters::Window window, bool split);
+
+  /// Synchronous fill of every level's schedule, coarse to fine.
   void fill_all(std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds,
                 TransferCounters::Window window);
 
-  // Split-phase halves of fill_all (async-overlap path): begin starts
-  // every level's same-level exchange (and, under wide_overlap, the
-  // early half of each coarse gather); finish completes them in level
-  // order (so a level's coarse gather still sees the coarser level's
-  // finished ghosts) and accounts the traffic.
-  void begin_all(std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds);
-  void finish_all(std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds,
-                  TransferCounters::Window window);
+  /// Runs `body` as one hydro stage: the "stage:hydro" annotation, the
+  /// "hydro" clock component and launch tag `tag`.
+  void hydro_stage(vgpu::LaunchTag tag, const std::function<void()>& body);
 
-  /// Runs the stencil stage of one fill window over every level.
+  /// How a fill window overlaps its exchange with the stage it feeds.
+  enum class Overlap {
+    kNone,   ///< fill, then the whole stage (synchronous)
+    kWhole,  ///< begin, the whole stage (it reads no ghost), finish
+    kSplit,  ///< begin, the interior sweep, finish, the boundary rind
+  };
+
+  /// Runs the stage of one fill window over every level.
   using StageFn = std::function<void(hydro::SweepPart)>;
 
-  /// One overlapped fill window (wide_overlap): begin the exchange, run
-  /// the stage's ghost-free interior sweep on the host lane while the
-  /// messages fly, finish the exchange, then run the boundary rind
-  /// sweep. Without wide overlap this degrades to the synchronous
-  /// fill-then-full-stage pair, unchanged from the single-window
-  /// subsystem. Either way the launch inputs match the synchronous
-  /// order, so fields are bit-identical (docs/async_overlap.md).
+  /// One fill window: the exchange of `scheds` together with the stage
+  /// that consumes its ghosts, run in overlap `mode`. This is the only
+  /// place that opens a window's annotation, clock-component and
+  /// launch-tag scopes and books its TransferCounters::window stats.
+  /// `stage` is called with kAll (kNone, kWhole) or with kInterior and
+  /// then kRind (kSplit). In every mode the launch inputs match the
+  /// synchronous order, so fields are bit-identical
+  /// (docs/async_overlap.md).
   void fill_window(TransferCounters::Window window,
                    std::vector<std::unique_ptr<xfer::RefineSchedule>>& scheds,
-                   const StageFn& stage);
+                   Overlap mode, const StageFn& stage);
 
-  /// True when the widened overlap window is in effect: timeline
-  /// attached, wide_overlap requested, distributed world.
+  /// True when wide overlap picks the window modes (stencil windows
+  /// split, the viscosity window whole): timeline attached,
+  /// wide_overlap requested, distributed world.
   bool wide_overlap_active() const;
-
-  /// overlap_seconds_saved of the attached timeline (0 without one).
-  double overlap_saved_now() const;
-
-  /// comm+net lane busy seconds of the attached timeline (0 without one).
-  double comm_busy_now() const;
 
   /// Per-device compute cost observed since the previous regrid: the
   /// "gpu<i>" lane busy delta plus the device's current cell count — the

@@ -362,9 +362,9 @@ void RefineSchedule::fill_finish() {
       coarse_engine_.execute(*this);
     }
     // Boundary-shell and ghost sources read the coarse level's FINISHED
-    // exchange (finish_all runs coarse-to-fine), and execute after the
-    // early engine's writes — the pre-split single-engine plan order
-    // wherever their seam images overlap.
+    // exchange (the integrator finishes coarse-to-fine), and execute
+    // after the early engine's writes — the pre-split single-engine plan
+    // order wherever their seam images overlap.
     coarse_late_engine_.execute(*this);
     clamp_fill_uncovered_scratch();
     interpolate_coarse_fills();
