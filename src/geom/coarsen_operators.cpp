@@ -79,15 +79,6 @@ vgpu::SegmentTable gather_component(std::span<const CoarsenTask> tasks, int k,
 
 }  // namespace
 
-void NodeInjectionCoarsen::coarsen(pdat::PatchData& dst_pd,
-                                   const pdat::PatchData& src_pd,
-                                   const pdat::PatchData* src_aux,
-                                   const Box& coarse_cells,
-                                   const IntVector& ratio) const {
-  const CoarsenTask t{&dst_pd, &src_pd, src_aux, coarse_cells};
-  coarsen_batched({&t, 1}, ratio);
-}
-
 void NodeInjectionCoarsen::coarsen_batched(std::span<const CoarsenTask> tasks,
                                            const IntVector& ratio) const {
   if (tasks.empty()) {
@@ -113,15 +104,6 @@ void NodeInjectionCoarsen::coarsen_batched(std::span<const CoarsenTask> tasks,
                             pv[s].c(i, j) = pv[s].f(i * ri, j * rj);
                           });
   }
-}
-
-void VolumeWeightedCoarsen::coarsen(pdat::PatchData& dst_pd,
-                                    const pdat::PatchData& src_pd,
-                                    const pdat::PatchData* src_aux,
-                                    const Box& coarse_cells,
-                                    const IntVector& ratio) const {
-  const CoarsenTask t{&dst_pd, &src_pd, src_aux, coarse_cells};
-  coarsen_batched({&t, 1}, ratio);
 }
 
 void VolumeWeightedCoarsen::coarsen_batched(std::span<const CoarsenTask> tasks,
@@ -160,15 +142,6 @@ void VolumeWeightedCoarsen::coarsen_batched(std::span<const CoarsenTask> tasks,
           c(i, j) = spv * inv_vc;
         });
   }
-}
-
-void MassWeightedCoarsen::coarsen(pdat::PatchData& dst_pd,
-                                  const pdat::PatchData& src_pd,
-                                  const pdat::PatchData* src_aux,
-                                  const Box& coarse_cells,
-                                  const IntVector& ratio) const {
-  const CoarsenTask t{&dst_pd, &src_pd, src_aux, coarse_cells};
-  coarsen_batched({&t, 1}, ratio);
 }
 
 void MassWeightedCoarsen::coarsen_batched(std::span<const CoarsenTask> tasks,
@@ -214,15 +187,6 @@ void MassWeightedCoarsen::coarsen_batched(std::span<const CoarsenTask> tasks,
           c(i, j) = mass > 0.0 ? mass_energy / mass : 0.0;
         });
   }
-}
-
-void SideSumCoarsen::coarsen(pdat::PatchData& dst_pd,
-                             const pdat::PatchData& src_pd,
-                             const pdat::PatchData* src_aux,
-                             const Box& coarse_cells,
-                             const IntVector& ratio) const {
-  const CoarsenTask t{&dst_pd, &src_pd, src_aux, coarse_cells};
-  coarsen_batched({&t, 1}, ratio);
 }
 
 void SideSumCoarsen::coarsen_batched(std::span<const CoarsenTask> tasks,

@@ -18,9 +18,6 @@ namespace ramr::geom {
 /// Injection for node-centred data: coarse node (I,J) <- fine (I*r, J*r).
 class NodeInjectionCoarsen : public xfer::CoarsenOperator {
  public:
-  void coarsen(pdat::PatchData& dst, const pdat::PatchData& src,
-               const pdat::PatchData* src_aux, const mesh::Box& coarse_cells,
-               const mesh::IntVector& ratio) const override;
   void coarsen_batched(std::span<const xfer::CoarsenTask> tasks,
                        const mesh::IntVector& ratio) const override;
   const char* name() const override { return "node-injection-coarsen"; }
@@ -29,9 +26,6 @@ class NodeInjectionCoarsen : public xfer::CoarsenOperator {
 /// Volume-weighted conservative average for cell-centred data (Fig. 8).
 class VolumeWeightedCoarsen : public xfer::CoarsenOperator {
  public:
-  void coarsen(pdat::PatchData& dst, const pdat::PatchData& src,
-               const pdat::PatchData* src_aux, const mesh::Box& coarse_cells,
-               const mesh::IntVector& ratio) const override;
   void coarsen_batched(std::span<const xfer::CoarsenTask> tasks,
                        const mesh::IntVector& ratio) const override;
   const char* name() const override { return "volume-weighted-coarsen"; }
@@ -41,9 +35,6 @@ class VolumeWeightedCoarsen : public xfer::CoarsenOperator {
 /// auxiliary source is the fine density.
 class MassWeightedCoarsen : public xfer::CoarsenOperator {
  public:
-  void coarsen(pdat::PatchData& dst, const pdat::PatchData& src,
-               const pdat::PatchData* src_aux, const mesh::Box& coarse_cells,
-               const mesh::IntVector& ratio) const override;
   void coarsen_batched(std::span<const xfer::CoarsenTask> tasks,
                        const mesh::IntVector& ratio) const override;
   bool needs_aux() const override { return true; }
@@ -54,9 +45,6 @@ class MassWeightedCoarsen : public xfer::CoarsenOperator {
 /// face value is the mean of the r coincident fine faces (fluxes).
 class SideSumCoarsen : public xfer::CoarsenOperator {
  public:
-  void coarsen(pdat::PatchData& dst, const pdat::PatchData& src,
-               const pdat::PatchData* src_aux, const mesh::Box& coarse_cells,
-               const mesh::IntVector& ratio) const override;
   void coarsen_batched(std::span<const xfer::CoarsenTask> tasks,
                        const mesh::IntVector& ratio) const override;
   const char* name() const override { return "side-sum-coarsen"; }

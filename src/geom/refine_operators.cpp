@@ -48,14 +48,6 @@ vgpu::SegmentTable gather_component(std::span<const RefineTask> tasks, int k,
 
 }  // namespace
 
-void NodeLinearRefine::refine(pdat::PatchData& dst_pd,
-                              const pdat::PatchData& src_pd,
-                              const Box& fine_cells,
-                              const IntVector& ratio) const {
-  const RefineTask t{&dst_pd, &src_pd, fine_cells};
-  refine_batched({&t, 1}, ratio);
-}
-
 void NodeLinearRefine::refine_batched(std::span<const RefineTask> tasks,
                                       const IntVector& ratio) const {
   if (tasks.empty()) {
@@ -103,14 +95,6 @@ void NodeLinearRefine::refine_batched(std::span<const RefineTask> tasks,
   }
 }
 
-void CellConservativeLinearRefine::refine(pdat::PatchData& dst_pd,
-                                          const pdat::PatchData& src_pd,
-                                          const Box& fine_cells,
-                                          const IntVector& ratio) const {
-  const RefineTask t{&dst_pd, &src_pd, fine_cells};
-  refine_batched({&t, 1}, ratio);
-}
-
 void CellConservativeLinearRefine::refine_batched(
     std::span<const RefineTask> tasks, const IntVector& ratio) const {
   if (tasks.empty()) {
@@ -147,14 +131,6 @@ void CellConservativeLinearRefine::refine_batched(
           f(i, j) = c(ic, jc) + sx * xoff + sy * yoff;
         });
   }
-}
-
-void SideConservativeLinearRefine::refine(pdat::PatchData& dst_pd,
-                                          const pdat::PatchData& src_pd,
-                                          const Box& fine_cells,
-                                          const IntVector& ratio) const {
-  const RefineTask t{&dst_pd, &src_pd, fine_cells};
-  refine_batched({&t, 1}, ratio);
 }
 
 void SideConservativeLinearRefine::refine_batched(

@@ -18,9 +18,6 @@ namespace ramr::geom {
 class NodeLinearRefine : public xfer::RefineOperator {
  public:
   mesh::IntVector stencil_width() const override { return {0, 0}; }
-  void refine(pdat::PatchData& dst, const pdat::PatchData& src,
-              const mesh::Box& fine_cells,
-              const mesh::IntVector& ratio) const override;
   void refine_batched(std::span<const xfer::RefineTask> tasks,
                       const mesh::IntVector& ratio) const override;
   const char* name() const override { return "node-linear-refine"; }
@@ -30,9 +27,6 @@ class NodeLinearRefine : public xfer::RefineOperator {
 class CellConservativeLinearRefine : public xfer::RefineOperator {
  public:
   mesh::IntVector stencil_width() const override { return {1, 1}; }
-  void refine(pdat::PatchData& dst, const pdat::PatchData& src,
-              const mesh::Box& fine_cells,
-              const mesh::IntVector& ratio) const override;
   void refine_batched(std::span<const xfer::RefineTask> tasks,
                       const mesh::IntVector& ratio) const override;
   const char* name() const override { return "cell-conservative-linear-refine"; }
@@ -43,9 +37,6 @@ class CellConservativeLinearRefine : public xfer::RefineOperator {
 class SideConservativeLinearRefine : public xfer::RefineOperator {
  public:
   mesh::IntVector stencil_width() const override { return {0, 0}; }
-  void refine(pdat::PatchData& dst, const pdat::PatchData& src,
-              const mesh::Box& fine_cells,
-              const mesh::IntVector& ratio) const override;
   void refine_batched(std::span<const xfer::RefineTask> tasks,
                       const mesh::IntVector& ratio) const override;
   const char* name() const override { return "side-conservative-linear-refine"; }

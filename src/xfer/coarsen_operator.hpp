@@ -25,26 +25,14 @@ class CoarsenOperator {
  public:
   virtual ~CoarsenOperator() = default;
 
-  /// Fills `dst` over `coarse_cells` (coarse cell space) from `src`,
-  /// whose index space is finer by `ratio`. `src_aux` supplies an
+  /// Fills each task's `dst` over its `coarse_cells` (coarse cell space)
+  /// from its `src`, whose index space is finer by `ratio` — ONE fused
+  /// launch per component over all tasks. `src_aux` supplies an
   /// auxiliary fine field when needs_aux() is true (the fine density for
-  /// mass weighting).
-  virtual void coarsen(pdat::PatchData& dst, const pdat::PatchData& src,
-                       const pdat::PatchData* src_aux,
-                       const mesh::Box& coarse_cells,
-                       const mesh::IntVector& ratio) const = 0;
-
-  /// Applies the operator to every task, fusing the per-task kernels
-  /// into ONE launch per component where the implementation supports it
-  /// (this default falls back to per-task coarsen()). Task destinations
-  /// must not alias, which the schedule's per-transaction scratch
-  /// guarantees.
+  /// mass weighting). Task destinations must not alias, which the
+  /// schedule's per-transaction scratch guarantees.
   virtual void coarsen_batched(std::span<const CoarsenTask> tasks,
-                               const mesh::IntVector& ratio) const {
-    for (const CoarsenTask& t : tasks) {
-      coarsen(*t.dst, *t.src, t.src_aux, t.coarse_cells, ratio);
-    }
-  }
+                               const mesh::IntVector& ratio) const = 0;
 
   /// True when the operator requires an auxiliary source field.
   virtual bool needs_aux() const { return false; }

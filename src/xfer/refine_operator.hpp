@@ -27,23 +27,13 @@ class RefineOperator {
   /// Coarse cells needed around the coarsened fine region.
   virtual mesh::IntVector stencil_width() const = 0;
 
-  /// Fills `dst` over `fine_cells` (fine cell space, clipped internally
-  /// to both arrays) by interpolating `src`, whose index space is coarser
-  /// by `ratio`.
-  virtual void refine(pdat::PatchData& dst, const pdat::PatchData& src,
-                      const mesh::Box& fine_cells,
-                      const mesh::IntVector& ratio) const = 0;
-
-  /// Applies the operator to every task, fusing the per-task kernels
-  /// into ONE launch per component where the implementation supports it
-  /// (this default falls back to per-task refine()). Task write regions
-  /// must be disjoint, which schedule plans guarantee.
+  /// Fills each task's `dst` over its `fine_cells` (fine cell space,
+  /// clipped internally to both arrays) by interpolating its `src`, whose
+  /// index space is coarser by `ratio` — ONE fused launch per component
+  /// over all tasks. Task write regions must be disjoint, which schedule
+  /// plans guarantee.
   virtual void refine_batched(std::span<const RefineTask> tasks,
-                              const mesh::IntVector& ratio) const {
-    for (const RefineTask& t : tasks) {
-      refine(*t.dst, *t.src, t.fine_cells, ratio);
-    }
-  }
+                              const mesh::IntVector& ratio) const = 0;
 
   virtual const char* name() const = 0;
 };

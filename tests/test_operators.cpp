@@ -46,6 +46,23 @@ double value_at(const pdat::cuda::CudaData& d, int k, int i, int j) {
   return plane[idx];
 }
 
+/// Applies a refine operator to one patch: a one-task batch through the
+/// operator's only entry point.
+void refine_one(const xfer::RefineOperator& op, pdat::PatchData& dst,
+                const pdat::PatchData& src, const Box& fine_cells,
+                const IntVector& ratio) {
+  const xfer::RefineTask task{&dst, &src, fine_cells};
+  op.refine_batched({&task, 1}, ratio);
+}
+
+/// Applies a coarsen operator to one patch as a one-task batch.
+void coarsen_one(const xfer::CoarsenOperator& op, pdat::PatchData& dst,
+                 const pdat::PatchData& src, const pdat::PatchData* src_aux,
+                 const Box& coarse_cells, const IntVector& ratio) {
+  const xfer::CoarsenTask task{&dst, &src, src_aux, coarse_cells};
+  op.coarsen_batched({&task, 1}, ratio);
+}
+
 class OperatorTest : public ::testing::Test {
  protected:
   vgpu::Device dev_{vgpu::tesla_k20x()};
@@ -66,7 +83,7 @@ TEST_F(OperatorTest, NodeLinearRefineReproducesLinearFieldsExactly) {
     fill_with(coarse, 0, [&](int i, int j) { return 2.0 * i * r + 3.0 * j * r; });
     fine.fill(-99.0);
     NodeLinearRefine op;
-    op.refine(fine, coarse, fine_cells, ratio);
+    refine_one(op, fine, coarse, fine_cells, ratio);
     const Box fb = fine.component(0).index_box();
     const auto plane = fine.component(0).download_plane();
     std::size_t n = 0;
@@ -86,7 +103,7 @@ TEST_F(OperatorTest, NodeLinearRefineCoincidentNodesCopyExactly) {
   CudaNodeData fine(dev_, coarse_cells.refine(ratio), IntVector(0, 0));
   fill_with(coarse, 0, [](int i, int j) { return std::sin(i * 1.7 + j); });
   NodeLinearRefine op;
-  op.refine(fine, coarse, coarse_cells.refine(ratio), ratio);
+  refine_one(op, fine, coarse, coarse_cells.refine(ratio), ratio);
   for (int j = 0; j <= 4; ++j) {
     for (int i = 0; i <= 4; ++i) {
       EXPECT_DOUBLE_EQ(value_at(fine, 0, 2 * i, 2 * j),
@@ -103,7 +120,7 @@ TEST_F(OperatorTest, NodeLinearRefineFillsOnlyRequestedRegion) {
   coarse.fill(1.0);
   fine.fill(-5.0);
   NodeLinearRefine op;
-  op.refine(fine, coarse, Box(0, 0, 3, 3), ratio);  // lower-left quadrant
+  refine_one(op, fine, coarse, Box(0, 0, 3, 3), ratio);  // lower-left quadrant
   EXPECT_DOUBLE_EQ(value_at(fine, 0, 2, 2), 1.0);
   EXPECT_DOUBLE_EQ(value_at(fine, 0, 12, 12), -5.0);  // untouched
 }
@@ -118,7 +135,7 @@ TEST_F(OperatorTest, CellRefineExactOnConstants) {
   CudaCellData fine(dev_, coarse_cells.refine(ratio), IntVector(0, 0));
   coarse.fill(4.5);
   CellConservativeLinearRefine op;
-  op.refine(fine, coarse, coarse_cells.refine(ratio), ratio);
+  refine_one(op, fine, coarse, coarse_cells.refine(ratio), ratio);
   const auto plane = fine.component(0).download_plane();
   for (double v : plane) {
     ASSERT_DOUBLE_EQ(v, 4.5);
@@ -136,7 +153,7 @@ TEST_F(OperatorTest, CellRefineSecondOrderOnLinearData) {
   });
   CellConservativeLinearRefine op;
   const Box fine_region(2, 2, 17, 17);  // interior: full stencil available
-  op.refine(fine, coarse, fine_region, ratio);
+  refine_one(op, fine, coarse, fine_region, ratio);
   for (int j = 4; j <= 15; ++j) {
     for (int i = 4; i <= 15; ++i) {
       // Fine cell centre in coarse units: (i + 0.5)/2.
@@ -161,7 +178,7 @@ TEST_P(CellRefineConservation, SumOverChildrenMatchesParent) {
     return 1.0 + std::exp(-0.1 * ((i - 4.0) * (i - 4.0) + (j - 5.0) * (j - 5.0)));
   });
   CellConservativeLinearRefine op;
-  op.refine(fine, coarse, coarse_cells.refine(ratio), ratio);
+  refine_one(op, fine, coarse, coarse_cells.refine(ratio), ratio);
   // For every interior coarse cell: mean of the r*r children equals the
   // parent value (conservation of the integral).
   for (int J = 1; J <= 8; ++J) {
@@ -189,7 +206,7 @@ TEST_F(OperatorTest, CellRefineIntroducesNoNewExtrema) {
   // A step function: the limiter must not overshoot.
   fill_with(coarse, 0, [](int i, int) { return i < 5 ? 1.0 : 10.0; });
   CellConservativeLinearRefine op;
-  op.refine(fine, coarse, coarse_cells.refine(ratio), ratio);
+  refine_one(op, fine, coarse, coarse_cells.refine(ratio), ratio);
   const auto plane = fine.component(0).download_plane();
   for (double v : plane) {
     ASSERT_GE(v, 1.0 - 1e-12);
@@ -209,7 +226,7 @@ TEST_F(OperatorTest, SideRefineLinearAlongNormal) {
   fill_with(coarse, 0, [](int i, int) { return 4.0 * i; });
   fill_with(coarse, 1, [](int, int j) { return -2.0 * j; });
   SideConservativeLinearRefine op;
-  op.refine(fine, coarse, coarse_cells.refine(ratio), ratio);
+  refine_one(op, fine, coarse, coarse_cells.refine(ratio), ratio);
   // Fine x-face i sits at coarse position i/2: value 4*(i/2) = 2*i.
   for (int i = 0; i <= 16; ++i) {
     ASSERT_NEAR(value_at(fine, 0, i, 3), 2.0 * i, 1e-12);
@@ -230,7 +247,7 @@ TEST_F(OperatorTest, NodeInjectionPicksCoincidentFineNode) {
   fill_with(fine, 0, [](int i, int j) { return 100.0 * i + j; });
   coarse.fill(0.0);
   NodeInjectionCoarsen op;
-  op.coarsen(coarse, fine, nullptr, coarse_cells, ratio);
+  coarsen_one(op, coarse, fine, nullptr, coarse_cells, ratio);
   for (int J = 0; J <= 8; ++J) {
     for (int I = 0; I <= 8; ++I) {
       ASSERT_DOUBLE_EQ(value_at(coarse, 0, I, J), 100.0 * (2 * I) + 2 * J);
@@ -257,7 +274,7 @@ TEST_P(VolumeCoarsenConservation, ConservesTotalMass) {
     return 1.0 + 0.3 * std::sin(0.5 * i) * std::cos(0.7 * j);
   });
   VolumeWeightedCoarsen op;
-  op.coarsen(coarse, fine, nullptr, coarse_cells, ratio);
+  coarsen_one(op, coarse, fine, nullptr, coarse_cells, ratio);
   // Total mass: sum(rho_f * Vf) == sum(rho_c * Vc) with Vc = r^2 Vf.
   const auto fp = fine.component(0).download_plane();
   double fine_mass = 0.0;
@@ -281,7 +298,7 @@ TEST_F(OperatorTest, VolumeCoarsenIsAverageForUniformCells) {
   CudaCellData coarse(dev_, Box(0, 0, 1, 1), IntVector(0, 0));
   fill_with(fine, 0, [](int i, int j) { return i + 10.0 * j; });
   VolumeWeightedCoarsen op;
-  op.coarsen(coarse, fine, nullptr, Box(0, 0, 1, 1), ratio);
+  coarsen_one(op, coarse, fine, nullptr, Box(0, 0, 1, 1), ratio);
   // Coarse (0,0) covers fine (0..1, 0..1): mean of {0, 1, 10, 11} = 5.5.
   EXPECT_DOUBLE_EQ(value_at(coarse, 0, 0, 0), 5.5);
 }
@@ -303,8 +320,8 @@ TEST_F(OperatorTest, MassWeightedCoarsenConservesInternalEnergy) {
   MassWeightedCoarsen e_op;
   VolumeWeightedCoarsen rho_op;
   EXPECT_TRUE(e_op.needs_aux());
-  e_op.coarsen(energy_c, energy_f, &density_f, coarse_cells, ratio);
-  rho_op.coarsen(density_c, density_f, nullptr, coarse_cells, ratio);
+  coarsen_one(e_op, energy_c, energy_f, &density_f, coarse_cells, ratio);
+  coarsen_one(rho_op, density_c, density_f, nullptr, coarse_cells, ratio);
 
   // Total internal energy sum(rho e V) is identical on both levels.
   const auto ef = energy_f.component(0).download_plane();
@@ -327,7 +344,7 @@ TEST_F(OperatorTest, MassWeightedCoarsenRequiresAux) {
   CudaCellData fine(dev_, Box(0, 0, 3, 3), IntVector(0, 0));
   CudaCellData coarse(dev_, Box(0, 0, 1, 1), IntVector(0, 0));
   MassWeightedCoarsen op;
-  EXPECT_THROW(op.coarsen(coarse, fine, nullptr, Box(0, 0, 1, 1), ratio),
+  EXPECT_THROW(coarsen_one(op, coarse, fine, nullptr, Box(0, 0, 1, 1), ratio),
                util::Error);
 }
 
@@ -342,7 +359,7 @@ TEST_F(OperatorTest, SideCoarsenAveragesCoincidentFaces) {
   fill_with(fine, 0, [](int i, int j) { return i + 0.25 * j; });
   fill_with(fine, 1, [](int i, int j) { return j - 0.5 * i; });
   SideSumCoarsen op;
-  op.coarsen(coarse, fine, nullptr, coarse_cells, ratio);
+  coarsen_one(op, coarse, fine, nullptr, coarse_cells, ratio);
   // Coarse x-face (I,J): mean over fine faces (2I, 2J) and (2I, 2J+1).
   EXPECT_DOUBLE_EQ(value_at(coarse, 0, 1, 1),
                    (2.0 + 0.25 * 2 + 2.0 + 0.25 * 3) / 2.0);
@@ -364,9 +381,9 @@ TEST_F(OperatorTest, VolumeCoarsenUndoesConservativeRefine) {
     return 2.0 + std::sin(0.3 * i) + 0.5 * std::cos(0.4 * j);
   });
   CellConservativeLinearRefine refine_op;
-  refine_op.refine(fine, coarse, coarse_cells.refine(ratio), ratio);
+  refine_one(refine_op, fine, coarse, coarse_cells.refine(ratio), ratio);
   VolumeWeightedCoarsen coarsen_op;
-  coarsen_op.coarsen(back, fine, nullptr, coarse_cells, ratio);
+  coarsen_one(coarsen_op, back, fine, nullptr, coarse_cells, ratio);
   for (int J = 1; J <= 8; ++J) {
     for (int I = 1; I <= 8; ++I) {
       ASSERT_NEAR(value_at(back, 0, I, J), value_at(coarse, 0, I, J), 1e-12);
