@@ -2,8 +2,9 @@
 // partition at every stencil depth, split sweeps bit-identical to the
 // full stage), the widened split-phase schedule (every per-step halo
 // exchange overlapped, distributed bit-exactness vs the synchronous
-// path across regrids), the kRind launch-tag invariant, and the
-// per-window TransferCounters breakdown.
+// path across regrids), the kRind launch-tag invariant, the
+// per-window TransferCounters breakdown, and the fill-window sequence
+// of every step shape.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -455,7 +456,6 @@ TEST(WideOverlap, SavesMoreThanTheSingleWindowOnDistributedConfig) {
   (void)narrow_worst;
 }
 
-
 TEST(WideOverlap, WindowSequenceIsPinnedInEveryStepShape) {
   // Fills and split-phase fills of every fill window after three steps
   // of a 2-level Sod with no regrid, in the four step shapes: sync and
@@ -473,7 +473,7 @@ TEST(WideOverlap, WindowSequenceIsPinnedInEveryStepShape) {
     Counts fills;
     Counts split_fills;
   };
-  //                        state pressure viscosity preadvec postcell
+  // Per window: state, pressure, viscosity, preadvec, postcell.
   const Counts kFills = {6, 12, 6, 6, 12};
   const std::vector<Shape> shapes = {
       {"sync, 1 rank", 1, false, true, kFills, {0, 0, 0, 0, 0}},
@@ -505,10 +505,11 @@ TEST(WideOverlap, WindowSequenceIsPinnedInEveryStepShape) {
     ASSERT_EQ(per_rank.size(), static_cast<std::size_t>(shape.ranks));
     for (const app::TransferCounters& tc : per_rank) {
       for (int w = 0; w < app::TransferCounters::kWindowCount; ++w) {
+        const char* window = app::TransferCounters::window_name(w);
         EXPECT_EQ(tc.window[w].fills, shape.fills[w])
-            << shape.name << ", window " << app::TransferCounters::window_name(w);
+            << shape.name << ", window " << window;
         EXPECT_EQ(tc.window[w].split_fills, shape.split_fills[w])
-            << shape.name << ", window " << app::TransferCounters::window_name(w);
+            << shape.name << ", window " << window;
       }
     }
   }
