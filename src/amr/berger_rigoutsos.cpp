@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/error.hpp"
 
@@ -21,17 +22,7 @@ struct Signatures {
 
 Signatures compute_signatures(const TagBitmap& tags, const Box& box) {
   Signatures s;
-  s.x.assign(static_cast<std::size_t>(box.width()), 0);
-  s.y.assign(static_cast<std::size_t>(box.height()), 0);
-  for (int j = box.lower().j; j <= box.upper().j; ++j) {
-    for (int i = box.lower().i; i <= box.upper().i; ++i) {
-      if (tags.is_tagged(i, j)) {
-        ++s.x[static_cast<std::size_t>(i - box.lower().i)];
-        ++s.y[static_cast<std::size_t>(j - box.lower().j)];
-        ++s.total;
-      }
-    }
-  }
+  s.total = tags.signatures(box, s.x, s.y);
   return s;
 }
 
@@ -53,7 +44,7 @@ Box tag_bounding_box(const Box& box, const Signatures& s) {
 
 /// A split position along one axis, expressed as the last index of the
 /// lower part in box-local coordinates; -1 when no acceptable split.
-int find_hole(const std::vector<std::int64_t>& sig, int min_size) {
+int find_hole(std::span<const std::int64_t> sig, int min_size) {
   const int n = static_cast<int>(sig.size());
   for (int k = min_size - 1; k < n - min_size; ++k) {
     if (sig[static_cast<std::size_t>(k)] == 0 ||
@@ -65,7 +56,7 @@ int find_hole(const std::vector<std::int64_t>& sig, int min_size) {
 }
 
 /// Strongest zero crossing of the discrete Laplacian of the signature.
-int find_inflection(const std::vector<std::int64_t>& sig, int min_size) {
+int find_inflection(std::span<const std::int64_t> sig, int min_size) {
   const int n = static_cast<int>(sig.size());
   if (n < 2 * min_size || n < 4) {
     return -1;
@@ -99,8 +90,9 @@ void cluster_recursive(const TagBitmap& tags, const Box& candidate,
     return;
   }
   const Box box = tag_bounding_box(candidate, s);
+  // Every tag of the candidate lies inside its tag bounding box.
   const double efficiency =
-      static_cast<double>(tags.count_tags(box)) / static_cast<double>(box.size());
+      static_cast<double>(s.total) / static_cast<double>(box.size());
   const bool small = box.width() <= 2 * params.min_size &&
                      box.height() <= 2 * params.min_size;
   if ((efficiency >= params.efficiency && box.size() <= params.max_box_cells) ||
@@ -109,13 +101,19 @@ void cluster_recursive(const TagBitmap& tags, const Box& candidate,
     return;
   }
 
-  const Signatures sb = compute_signatures(tags, box);
+  // The box's signatures are the candidate's, trimmed to the box.
+  const auto sbx = std::span(s.x).subspan(
+      static_cast<std::size_t>(box.lower().i - candidate.lower().i),
+      static_cast<std::size_t>(box.width()));
+  const auto sby = std::span(s.y).subspan(
+      static_cast<std::size_t>(box.lower().j - candidate.lower().j),
+      static_cast<std::size_t>(box.height()));
   // Prefer splitting the longer axis; try hole, then inflection, then
   // midpoint. Split position k: lower part is [lo, lo+k].
   const bool x_first = box.width() >= box.height();
   for (int attempt = 0; attempt < 2; ++attempt) {
     const bool along_x = (attempt == 0) ? x_first : !x_first;
-    const auto& sig = along_x ? sb.x : sb.y;
+    const auto sig = along_x ? sbx : sby;
     const int extent = along_x ? box.width() : box.height();
     if (extent < 2 * params.min_size) {
       continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "pdat/cuda/cuda_data.hpp"
 #include "util/error.hpp"
@@ -62,21 +63,21 @@ TagBitmap GriddingAlgorithm::collect_tags(PatchHierarchy& hierarchy,
   }
 
   // Merge, exchanging compressed tags across ranks when distributed.
+  std::unordered_map<int, const Box*> box_of;
+  box_of.reserve(level.global_patches().size());
+  for (const GlobalPatch& gp : level.global_patches()) {
+    box_of.emplace(gp.global_id, &gp.box);
+  }
   const auto merge_stream = [&](pdat::MessageStream& ms) {
     while (!ms.fully_consumed()) {
       const int gid = ms.read<int>();
       const auto nwords = ms.read<std::uint64_t>();
       std::vector<std::uint32_t> words(nwords);
       ms.read_bytes(words.data(), nwords * sizeof(std::uint32_t));
-      const GlobalPatch* gp = nullptr;
-      for (const GlobalPatch& cand : level.global_patches()) {
-        if (cand.global_id == gid) {
-          gp = &cand;
-          break;
-        }
-      }
-      RAMR_REQUIRE(gp != nullptr, "tag stream references unknown patch " << gid);
-      bitmap.merge_compressed(gp->box, words);
+      const auto it = box_of.find(gid);
+      RAMR_REQUIRE(it != box_of.end(),
+                   "tag stream references unknown patch " << gid);
+      bitmap.merge_compressed(*it->second, words);
     }
   };
 
@@ -106,12 +107,7 @@ std::vector<Box> GriddingAlgorithm::build_candidate_boxes(
                              ;  // to tag_level index space
     for (const Box& b : upper.boxes().boxes()) {
       const Box cb = b.coarsen(IntVector(r2.i, r2.j)).grow(params_.nesting_buffer);
-      const Box clipped = cb.intersect(tags.region());
-      for (int j = clipped.lower().j; j <= clipped.upper().j; ++j) {
-        for (int i = clipped.lower().i; i <= clipped.upper().i; ++i) {
-          tags.set(i, j);
-        }
-      }
+      tags.set_box(cb.intersect(tags.region()));
     }
   }
 

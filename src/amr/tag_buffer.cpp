@@ -1,5 +1,8 @@
 #include "amr/tag_buffer.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace ramr::amr {
@@ -81,15 +84,89 @@ std::vector<int> DeviceTagData::download_raw() {
 
 // ---------------------------------------------------------------------------
 
-TagBitmap::TagBitmap(const Box& region) : region_(region) {
+namespace {
+
+/// Calls f(w, mask) for every word w of a padded row that holds a cell of
+/// the region-relative column range [c0, c1]; mask selects those cells.
+template <typename F>
+void for_each_word(int c0, int c1, F&& f) {
+  for (int w = c0 >> 6; w <= c1 >> 6; ++w) {
+    const int a = std::max(c0 - 64 * w, 0);
+    const int e = std::min(c1 - 64 * w, 63);
+    f(w, (~std::uint64_t{0} << a) & (~std::uint64_t{0} >> (63 - e)));
+  }
+}
+
+/// r[c] |= r[c - s] over one padded row (cells move to higher columns).
+/// Bits pushed into the padding must be masked off by the caller.
+void or_shifted_up(std::uint64_t* r, int nw, int s) {
+  const int q = s >> 6;
+  const int b = s & 63;
+  // Descending, so every word read is still unmodified.
+  for (int w = nw - 1; w >= q; --w) {
+    std::uint64_t v = r[w - q] << b;
+    if (b != 0 && w - q > 0) {
+      v |= r[w - q - 1] >> (64 - b);
+    }
+    r[w] |= v;
+  }
+}
+
+/// r[c] |= r[c + s] over one padded row (cells move to lower columns).
+void or_shifted_down(std::uint64_t* r, int nw, int s) {
+  const int q = s >> 6;
+  const int b = s & 63;
+  // Ascending, so every word read is still unmodified.
+  for (int w = 0; w + q < nw; ++w) {
+    std::uint64_t v = r[w + q] >> b;
+    if (b != 0 && w + q + 1 < nw) {
+      v |= r[w + q + 1] << (64 - b);
+    }
+    r[w] |= v;
+  }
+}
+
+/// Calls step(s) with the shifts that, ORed in by doubling, take a set
+/// from offsets {0} to offsets [0, b]: after each call the covered range
+/// [0, c-1] grows to [0, c+s-1] with s <= c.
+template <typename F>
+void doubling_steps(int b, F&& step) {
+  for (int covered = 1; covered <= b;) {
+    const int s = std::min(covered, b + 1 - covered);
+    step(s);
+    covered += s;
+  }
+}
+
+}  // namespace
+
+TagBitmap::TagBitmap(const Box& region)
+    : region_(region), words_per_row_((region.width() + 63) / 64) {
   RAMR_REQUIRE(!region.empty(), "tag bitmap over empty region");
-  bits_.assign(static_cast<std::size_t>((region.size() + 31) / 32), 0u);
+  bits_.assign(static_cast<std::size_t>(region.height()) *
+                   static_cast<std::size_t>(words_per_row_),
+               0u);
 }
 
 void TagBitmap::set(int i, int j) {
   RAMR_REQUIRE(region_.contains(IntVector(i, j)),
                "tag (" << i << "," << j << ") outside " << region_);
-  bits_[bit_index(i, j) >> 5] |= (1u << (bit_index(i, j) & 31));
+  const int c = i - region_.lower().i;
+  row(j)[c >> 6] |= std::uint64_t{1} << (c & 63);
+}
+
+void TagBitmap::set_box(const Box& box) {
+  RAMR_REQUIRE(region_.contains(box),
+               "box " << box << " outside tag region " << region_);
+  if (box.empty()) {
+    return;
+  }
+  const int c0 = box.lower().i - region_.lower().i;
+  const int c1 = box.upper().i - region_.lower().i;
+  for (int j = box.lower().j; j <= box.upper().j; ++j) {
+    std::uint64_t* r = row(j);
+    for_each_word(c0, c1, [r](int w, std::uint64_t mask) { r[w] |= mask; });
+  }
 }
 
 void TagBitmap::merge_compressed(const Box& patch_box,
@@ -99,11 +176,18 @@ void TagBitmap::merge_compressed(const Box& patch_box,
   const std::int64_t n = patch_box.size();
   RAMR_REQUIRE(static_cast<std::int64_t>(words.size()) == (n + 31) / 32,
                "compressed tag size mismatch");
-  for (std::int64_t t = 0; t < n; ++t) {
-    if ((words[static_cast<std::size_t>(t >> 5)] >> (t & 31)) & 1u) {
-      const int i = patch_box.lower().i + static_cast<int>(t % patch_box.width());
-      const int j = patch_box.lower().j + static_cast<int>(t / patch_box.width());
-      set(i, j);
+  const int width = patch_box.width();
+  const int c0 = patch_box.lower().i - region_.lower().i;
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    for (std::uint32_t bits = words[k]; bits != 0; bits &= bits - 1) {
+      const std::int64_t t =
+          static_cast<std::int64_t>(k << 5) + std::countr_zero(bits);
+      if (t >= n) {
+        break;
+      }
+      const int c = c0 + static_cast<int>(t % width);
+      row(patch_box.lower().j + static_cast<int>(t / width))[c >> 6] |=
+          std::uint64_t{1} << (c & 63);
     }
   }
 }
@@ -112,38 +196,86 @@ void TagBitmap::buffer(int b) {
   if (b <= 0) {
     return;
   }
-  std::vector<std::uint32_t> grown = bits_;
-  const auto set_in = [&](int i, int j) {
-    if (region_.contains(IntVector(i, j))) {
-      grown[bit_index(i, j) >> 5] |= (1u << (bit_index(i, j) & 31));
+  // Separable dilation, clipped to the region: first every row by
+  // [-b, b] columns, then every column by [-b, b] rows.
+  const int nw = words_per_row_;
+  const int height = region_.height();
+  const std::uint64_t last_word_mask =
+      ~std::uint64_t{0} >> (64 * nw - region_.width());
+  for (int j = region_.lower().j; j <= region_.upper().j; ++j) {
+    std::uint64_t* r = row(j);
+    doubling_steps(b, [&](int s) { or_shifted_up(r, nw, s); });
+    r[nw - 1] &= last_word_mask;
+    doubling_steps(b, [&](int s) { or_shifted_down(r, nw, s); });
+  }
+  std::uint64_t* base = bits_.data();
+  const auto or_row = [&](int dst, int src) {
+    std::uint64_t* d = base + static_cast<std::size_t>(dst) * nw;
+    const std::uint64_t* s = base + static_cast<std::size_t>(src) * nw;
+    for (int w = 0; w < nw; ++w) {
+      d[w] |= s[w];
     }
   };
-  for (int j = region_.lower().j; j <= region_.upper().j; ++j) {
-    for (int i = region_.lower().i; i <= region_.upper().i; ++i) {
-      if (!is_tagged(i, j)) {
-        continue;
-      }
-      for (int dj = -b; dj <= b; ++dj) {
-        for (int di = -b; di <= b; ++di) {
-          set_in(i + di, j + dj);
-        }
-      }
-    }
-  }
-  bits_ = std::move(grown);
+  // Ascending reads only rows above, descending only rows below, so both
+  // run in place.
+  doubling_steps(b, [&](int s) {
+    for (int k = 0; k + s < height; ++k) or_row(k, k + s);
+  });
+  doubling_steps(b, [&](int s) {
+    for (int k = height - 1; k - s >= 0; --k) or_row(k, k - s);
+  });
 }
 
-std::int64_t TagBitmap::count_tags() const { return count_tags(region_); }
+std::int64_t TagBitmap::count_tags() const {
+  std::int64_t count = 0;
+  for (const std::uint64_t w : bits_) {
+    count += std::popcount(w);
+  }
+  return count;
+}
 
 std::int64_t TagBitmap::count_tags(const Box& within) const {
   const Box r = region_.intersect(within);
+  if (r.empty()) {
+    return 0;
+  }
+  const int c0 = r.lower().i - region_.lower().i;
+  const int c1 = r.upper().i - region_.lower().i;
   std::int64_t count = 0;
   for (int j = r.lower().j; j <= r.upper().j; ++j) {
-    for (int i = r.lower().i; i <= r.upper().i; ++i) {
-      count += is_tagged(i, j) ? 1 : 0;
-    }
+    const std::uint64_t* words = row(j);
+    for_each_word(c0, c1, [&](int w, std::uint64_t mask) {
+      count += std::popcount(words[w] & mask);
+    });
   }
   return count;
+}
+
+std::int64_t TagBitmap::signatures(const Box& box, std::vector<std::int64_t>& x,
+                                   std::vector<std::int64_t>& y) const {
+  RAMR_REQUIRE(region_.contains(box),
+               "box " << box << " outside tag region " << region_);
+  x.assign(static_cast<std::size_t>(box.width()), 0);
+  y.assign(static_cast<std::size_t>(box.height()), 0);
+  const int c0 = box.lower().i - region_.lower().i;
+  const int c1 = box.upper().i - region_.lower().i;
+  std::int64_t total = 0;
+  for (int j = box.lower().j; j <= box.upper().j; ++j) {
+    const std::uint64_t* words = row(j);
+    std::int64_t count = 0;
+    // Popcount per word for the row; the set bits walked with ctz for
+    // the columns.
+    for_each_word(c0, c1, [&](int w, std::uint64_t mask) {
+      std::uint64_t bits = words[w] & mask;
+      count += std::popcount(bits);
+      for (; bits != 0; bits &= bits - 1) {
+        ++x[static_cast<std::size_t>(64 * w + std::countr_zero(bits) - c0)];
+      }
+    });
+    y[static_cast<std::size_t>(j - box.lower().j)] = count;
+    total += count;
+  }
+  return total;
 }
 
 }  // namespace ramr::amr

@@ -54,6 +54,11 @@ class DeviceTagData {
 /// Host-side tag bitmap over an arbitrary region (the union of a level's
 /// patches), assembled from per-patch compressed tag arrays gathered from
 /// all ranks. Feeds Berger-Rigoutsos clustering.
+///
+/// Each row is padded to whole 64-bit words, so counting, box fills and
+/// the buffer dilation work a word (64 cells) at a time. Bit k of word w
+/// of row j is cell (region.lower.i + 64 w + k, j); padding bits past the
+/// last column are always zero.
 class TagBitmap {
  public:
   explicit TagBitmap(const mesh::Box& region);
@@ -64,10 +69,14 @@ class TagBitmap {
     if (!region_.contains(mesh::IntVector(i, j))) {
       return false;
     }
-    return bits_[bit_index(i, j) >> 5] >> (bit_index(i, j) & 31) & 1u;
+    const int c = i - region_.lower().i;
+    return row(j)[c >> 6] >> (c & 63) & 1u;
   }
 
   void set(int i, int j);
+
+  /// Tags every cell of `box`, which must lie inside the region.
+  void set_box(const mesh::Box& box);
 
   /// ORs a patch's compressed tag words (as produced by
   /// DeviceTagData::download_compressed) into this bitmap.
@@ -82,15 +91,26 @@ class TagBitmap {
   std::int64_t count_tags() const;
   std::int64_t count_tags(const mesh::Box& within) const;
 
+  /// Tag counts per column (x, indexed from box.lower.i) and per row (y,
+  /// from box.lower.j) of `box`, which must lie inside the region: the
+  /// Berger-Rigoutsos signatures, in one pass. Returns the total.
+  std::int64_t signatures(const mesh::Box& box, std::vector<std::int64_t>& x,
+                          std::vector<std::int64_t>& y) const;
+
  private:
-  std::uint64_t bit_index(int i, int j) const {
-    return static_cast<std::uint64_t>(j - region_.lower().j) *
-               static_cast<std::uint64_t>(region_.width()) +
-           static_cast<std::uint64_t>(i - region_.lower().i);
+  /// The padded words of row j (region.lower.j <= j <= region.upper.j).
+  const std::uint64_t* row(int j) const {
+    return bits_.data() + static_cast<std::size_t>(j - region_.lower().j) *
+                              static_cast<std::size_t>(words_per_row_);
+  }
+  std::uint64_t* row(int j) {
+    return bits_.data() + static_cast<std::size_t>(j - region_.lower().j) *
+                              static_cast<std::size_t>(words_per_row_);
   }
 
   mesh::Box region_;
-  std::vector<std::uint32_t> bits_;
+  int words_per_row_;
+  std::vector<std::uint64_t> bits_;
 };
 
 }  // namespace ramr::amr

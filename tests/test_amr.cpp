@@ -3,7 +3,10 @@
 // Berger-Rigoutsos clustering, box chopping and load balancing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <string>
 
 #include "amr/berger_rigoutsos.hpp"
 #include "amr/load_balancer.hpp"
@@ -107,6 +110,200 @@ TEST(TagBitmap, BufferClipsAtRegionEdge) {
   EXPECT_EQ(tags.count_tags(), 16);  // 4x4 corner block
 }
 
+// Differential check against a one-byte-per-cell reference bitmap, on
+// seeded random patterns over regions whose widths straddle word edges.
+
+/// The reference: every operation walks cells one at a time.
+class NaiveBitmap {
+ public:
+  explicit NaiveBitmap(const Box& region)
+      : region_(region), cells_(static_cast<std::size_t>(region.size()), 0) {}
+
+  bool is_tagged(int i, int j) const {
+    return region_.contains(IntVector(i, j)) && cells_[index(i, j)] != 0;
+  }
+  void set(int i, int j) { cells_[index(i, j)] = 1; }
+  void set_box(const Box& box) {
+    for (int j = box.lower().j; j <= box.upper().j; ++j) {
+      for (int i = box.lower().i; i <= box.upper().i; ++i) {
+        set(i, j);
+      }
+    }
+  }
+  void merge_compressed(const Box& patch,
+                        const std::vector<std::uint32_t>& words) {
+    for (std::int64_t t = 0; t < patch.size(); ++t) {
+      if ((words[static_cast<std::size_t>(t >> 5)] >> (t & 31)) & 1u) {
+        set(patch.lower().i + static_cast<int>(t % patch.width()),
+            patch.lower().j + static_cast<int>(t / patch.width()));
+      }
+    }
+  }
+  void buffer(int b) {
+    NaiveBitmap grown = *this;
+    for (int j = region_.lower().j; j <= region_.upper().j; ++j) {
+      for (int i = region_.lower().i; i <= region_.upper().i; ++i) {
+        if (!is_tagged(i, j)) continue;
+        for (int dj = -b; dj <= b; ++dj) {
+          for (int di = -b; di <= b; ++di) {
+            if (region_.contains(IntVector(i + di, j + dj))) {
+              grown.set(i + di, j + dj);
+            }
+          }
+        }
+      }
+    }
+    *this = std::move(grown);
+  }
+  std::int64_t count_tags(const Box& within) const {
+    std::int64_t n = 0;
+    const Box r = region_.intersect(within);
+    for (int j = r.lower().j; j <= r.upper().j; ++j) {
+      for (int i = r.lower().i; i <= r.upper().i; ++i) {
+        n += is_tagged(i, j) ? 1 : 0;
+      }
+    }
+    return n;
+  }
+
+ private:
+  std::size_t index(int i, int j) const {
+    EXPECT_TRUE(region_.contains(IntVector(i, j)));
+    return static_cast<std::size_t>(j - region_.lower().j) *
+               static_cast<std::size_t>(region_.width()) +
+           static_cast<std::size_t>(i - region_.lower().i);
+  }
+
+  Box region_;
+  std::vector<char> cells_;
+};
+
+/// A random box with corners in [lo - margin, hi + margin] of `region`.
+Box random_box(std::mt19937& rng, const Box& region, int margin) {
+  std::uniform_int_distribution<int> di(region.lower().i - margin,
+                                        region.upper().i + margin);
+  std::uniform_int_distribution<int> dj(region.lower().j - margin,
+                                        region.upper().j + margin);
+  const int i0 = di(rng), i1 = di(rng), j0 = dj(rng), j1 = dj(rng);
+  return Box(std::min(i0, i1), std::min(j0, j1), std::max(i0, i1),
+             std::max(j0, j1));
+}
+
+void expect_same_bitmap(const TagBitmap& fast, const NaiveBitmap& naive,
+                        const std::string& what) {
+  const Box region = fast.region();
+  const Box halo = region.grow(1);
+  for (int j = halo.lower().j; j <= halo.upper().j; ++j) {
+    for (int i = halo.lower().i; i <= halo.upper().i; ++i) {
+      ASSERT_EQ(fast.is_tagged(i, j), naive.is_tagged(i, j))
+          << what << ": cell (" << i << "," << j << ") of " << region;
+    }
+  }
+  EXPECT_EQ(fast.count_tags(), naive.count_tags(region)) << what;
+}
+
+class TagBitmapDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(TagBitmapDifferential, MatchesPerCellReference) {
+  const int width = GetParam();
+  std::mt19937 rng(static_cast<unsigned>(1000 + width));
+  for (const int height : {1, 5, 37}) {
+    // Negative lower corner, not aligned to a word.
+    const Box region(-67, -3, -67 + width - 1, -3 + height - 1);
+    for (const int b : {1, 2, 3, 64, 70}) {
+      for (const double density : {0.002, 0.05, 0.4}) {
+        const std::string what = "region " + std::to_string(width) + "x" +
+                                 std::to_string(height) + " b=" +
+                                 std::to_string(b) + " density=" +
+                                 std::to_string(density);
+        TagBitmap fast(region);
+        NaiveBitmap naive(region);
+        std::bernoulli_distribution tagged(density);
+
+        // Single cells.
+        for (int j = region.lower().j; j <= region.upper().j; ++j) {
+          for (int i = region.lower().i; i <= region.upper().i; ++i) {
+            if (tagged(rng) && tagged(rng)) {
+              fast.set(i, j);
+              naive.set(i, j);
+            }
+          }
+        }
+        // Boxes clipped by the region.
+        for (int k = 0; k < 2; ++k) {
+          const Box box = random_box(rng, region, 10).intersect(region);
+          fast.set_box(box);
+          naive.set_box(box);
+        }
+        // Patches at odd offsets inside the region.
+        for (int k = 0; k < 3; ++k) {
+          const Box patch = random_box(rng, region, 0);
+          std::vector<std::uint32_t> words(
+              static_cast<std::size_t>((patch.size() + 31) / 32), 0u);
+          for (std::int64_t t = 0; t < patch.size(); ++t) {
+            if (tagged(rng)) {
+              words[static_cast<std::size_t>(t >> 5)] |= 1u << (t & 31);
+            }
+          }
+          // Bits past the last cell are not tags and must be ignored.
+          if (patch.size() % 32 != 0) {
+            words.back() |= ~0u << (patch.size() % 32);
+          }
+          fast.merge_compressed(patch, words);
+          naive.merge_compressed(patch, words);
+        }
+        expect_same_bitmap(fast, naive, what + " before buffer");
+        for (int k = 0; k < 8; ++k) {
+          const Box within = random_box(rng, region, 70);
+          ASSERT_EQ(fast.count_tags(within), naive.count_tags(within))
+              << what << " within " << within;
+        }
+
+        fast.buffer(b);
+        naive.buffer(b);
+        expect_same_bitmap(fast, naive, what + " after buffer");
+        for (int k = 0; k < 8; ++k) {
+          const Box within = random_box(rng, region, 70);
+          ASSERT_EQ(fast.count_tags(within), naive.count_tags(within))
+              << what << " within " << within << " after buffer";
+          const Box box = within.intersect(region);
+          if (box.empty()) continue;
+          std::vector<std::int64_t> x;
+          std::vector<std::int64_t> y;
+          const std::int64_t total = fast.signatures(box, x, y);
+          EXPECT_EQ(total, naive.count_tags(box)) << what << " " << box;
+          for (int i = box.lower().i; i <= box.upper().i; ++i) {
+            ASSERT_EQ(x[static_cast<std::size_t>(i - box.lower().i)],
+                      naive.count_tags(Box(i, box.lower().j, i, box.upper().j)))
+                << what << " column " << i << " of " << box;
+          }
+          for (int j = box.lower().j; j <= box.upper().j; ++j) {
+            ASSERT_EQ(y[static_cast<std::size_t>(j - box.lower().j)],
+                      naive.count_tags(Box(box.lower().i, j, box.upper().i, j)))
+                << what << " row " << j << " of " << box;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, TagBitmapDifferential,
+                         ::testing::Values(1, 63, 64, 65, 129));
+
+TEST(TagBitmap, SetBoxFillsExactlyTheBox) {
+  TagBitmap tags(Box(-70, -2, 80, 5));
+  tags.set_box(Box(-64, 0, 63, 1));  // 128 columns across three words
+  EXPECT_EQ(tags.count_tags(), 128 * 2);
+  EXPECT_TRUE(tags.is_tagged(-64, 0));
+  EXPECT_TRUE(tags.is_tagged(63, 1));
+  EXPECT_FALSE(tags.is_tagged(-65, 0));
+  EXPECT_FALSE(tags.is_tagged(64, 1));
+  EXPECT_FALSE(tags.is_tagged(0, 2));
+  tags.set_box(Box());  // empty: no-op
+  EXPECT_EQ(tags.count_tags(), 128 * 2);
+}
+
 // ---------------------------------------------------------------------------
 // Berger-Rigoutsos
 
@@ -157,11 +354,9 @@ TEST(BergerRigoutsos, SeparatedClustersSplit) {
   EXPECT_EQ(covered_tags(tags, boxes), tags.count_tags());
 }
 
-class BergerRigoutsosProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(BergerRigoutsosProperty, CoversAllTagsEfficientlyAndDisjointly) {
+/// The 64x64 tag patterns of the property tests.
+TagBitmap property_pattern(int pattern) {
   const int n = 64;
-  const int pattern = GetParam();
   TagBitmap tags(Box(0, 0, n - 1, n - 1));
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < n; ++i) {
@@ -185,6 +380,13 @@ TEST_P(BergerRigoutsosProperty, CoversAllTagsEfficientlyAndDisjointly) {
       }
     }
   }
+  return tags;
+}
+
+class BergerRigoutsosProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(BergerRigoutsosProperty, CoversAllTagsEfficientlyAndDisjointly) {
+  const TagBitmap tags = property_pattern(GetParam());
   ClusterParams params;
   params.efficiency = 0.75;
   params.min_size = 4;
@@ -206,6 +408,208 @@ TEST_P(BergerRigoutsosProperty, CoversAllTagsEfficientlyAndDisjointly) {
   }
   EXPECT_GE(static_cast<double>(tags.count_tags()) / area,
             0.5 * params.efficiency);
+}
+
+// The three-pass Berger-Rigoutsos clustering as it stood before the
+// signatures went word-parallel, kept as the reference that pins the
+// clustering output box for box, in order.
+namespace reference_br {
+
+struct Signatures {
+  std::vector<std::int64_t> x;
+  std::vector<std::int64_t> y;
+  std::int64_t total = 0;
+};
+
+Signatures compute_signatures(const TagBitmap& tags, const Box& box) {
+  Signatures s;
+  s.x.assign(static_cast<std::size_t>(box.width()), 0);
+  s.y.assign(static_cast<std::size_t>(box.height()), 0);
+  for (int j = box.lower().j; j <= box.upper().j; ++j) {
+    for (int i = box.lower().i; i <= box.upper().i; ++i) {
+      if (tags.is_tagged(i, j)) {
+        ++s.x[static_cast<std::size_t>(i - box.lower().i)];
+        ++s.y[static_cast<std::size_t>(j - box.lower().j)];
+        ++s.total;
+      }
+    }
+  }
+  return s;
+}
+
+Box tag_bounding_box(const Box& box, const Signatures& s) {
+  if (s.total == 0) {
+    return {};
+  }
+  int ilo = box.lower().i;
+  while (s.x[static_cast<std::size_t>(ilo - box.lower().i)] == 0) ++ilo;
+  int ihi = box.upper().i;
+  while (s.x[static_cast<std::size_t>(ihi - box.lower().i)] == 0) --ihi;
+  int jlo = box.lower().j;
+  while (s.y[static_cast<std::size_t>(jlo - box.lower().j)] == 0) ++jlo;
+  int jhi = box.upper().j;
+  while (s.y[static_cast<std::size_t>(jhi - box.lower().j)] == 0) --jhi;
+  return Box(ilo, jlo, ihi, jhi);
+}
+
+int find_hole(const std::vector<std::int64_t>& sig, int min_size) {
+  const int n = static_cast<int>(sig.size());
+  for (int k = min_size - 1; k < n - min_size; ++k) {
+    if (sig[static_cast<std::size_t>(k)] == 0 ||
+        sig[static_cast<std::size_t>(k + 1)] == 0) {
+      return k;
+    }
+  }
+  return -1;
+}
+
+int find_inflection(const std::vector<std::int64_t>& sig, int min_size) {
+  const int n = static_cast<int>(sig.size());
+  if (n < 2 * min_size || n < 4) {
+    return -1;
+  }
+  std::vector<std::int64_t> lap(static_cast<std::size_t>(n), 0);
+  for (int k = 1; k < n - 1; ++k) {
+    lap[static_cast<std::size_t>(k)] =
+        sig[static_cast<std::size_t>(k - 1)] - 2 * sig[static_cast<std::size_t>(k)] +
+        sig[static_cast<std::size_t>(k + 1)];
+  }
+  int best = -1;
+  std::int64_t best_jump = 0;
+  for (int k = std::max(1, min_size - 1); k < std::min(n - 2, n - min_size); ++k) {
+    const std::int64_t a = lap[static_cast<std::size_t>(k)];
+    const std::int64_t b = lap[static_cast<std::size_t>(k + 1)];
+    if ((a <= 0 && b >= 0) || (a >= 0 && b <= 0)) {
+      const std::int64_t jump = std::llabs(a - b);
+      if (jump > best_jump) {
+        best_jump = jump;
+        best = k;
+      }
+    }
+  }
+  return best;
+}
+
+void cluster_recursive(const TagBitmap& tags, const Box& candidate,
+                       const ClusterParams& params, std::vector<Box>& out) {
+  const Signatures s = compute_signatures(tags, candidate);
+  if (s.total == 0) {
+    return;
+  }
+  const Box box = tag_bounding_box(candidate, s);
+  const double efficiency =
+      static_cast<double>(tags.count_tags(box)) / static_cast<double>(box.size());
+  const bool small = box.width() <= 2 * params.min_size &&
+                     box.height() <= 2 * params.min_size;
+  if ((efficiency >= params.efficiency && box.size() <= params.max_box_cells) ||
+      (small && box.size() <= params.max_box_cells)) {
+    out.push_back(box);
+    return;
+  }
+
+  const Signatures sb = compute_signatures(tags, box);
+  const bool x_first = box.width() >= box.height();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const bool along_x = (attempt == 0) ? x_first : !x_first;
+    const auto& sig = along_x ? sb.x : sb.y;
+    const int extent = along_x ? box.width() : box.height();
+    if (extent < 2 * params.min_size) {
+      continue;
+    }
+    int k = find_hole(sig, params.min_size);
+    if (k < 0) {
+      k = find_inflection(sig, params.min_size);
+    }
+    if (k < 0) {
+      k = extent / 2 - 1;
+    }
+    if (k < params.min_size - 1 || k >= extent - params.min_size) {
+      continue;
+    }
+    Box lower_part;
+    Box upper_part;
+    if (along_x) {
+      const int cut = box.lower().i + k;
+      lower_part = Box(box.lower(), IntVector(cut, box.upper().j));
+      upper_part = Box(IntVector(cut + 1, box.lower().j), box.upper());
+    } else {
+      const int cut = box.lower().j + k;
+      lower_part = Box(box.lower(), IntVector(box.upper().i, cut));
+      upper_part = Box(IntVector(box.lower().i, cut + 1), box.upper());
+    }
+    cluster_recursive(tags, lower_part, params, out);
+    cluster_recursive(tags, upper_part, params, out);
+    return;
+  }
+  out.push_back(box);
+}
+
+std::vector<Box> berger_rigoutsos(const TagBitmap& tags, const Box& within,
+                                  const ClusterParams& params) {
+  std::vector<Box> out;
+  const Box region = tags.region().intersect(within);
+  if (!region.empty()) {
+    cluster_recursive(tags, region, params, out);
+  }
+  return out;
+}
+
+}  // namespace reference_br
+
+std::vector<ClusterParams> pinned_param_sets() {
+  std::vector<ClusterParams> sets(4);
+  sets[0] = ClusterParams{};  // 0.75, 4, unbounded
+  sets[1] = loose_params();   // 0.7, 2
+  sets[2].efficiency = 0.9;
+  sets[2].min_size = 3;
+  sets[2].max_box_cells = 256;
+  sets[3].efficiency = 0.5;
+  sets[3].min_size = 8;
+  sets[3].max_box_cells = 1024;
+  return sets;
+}
+
+void expect_reference_clustering(const TagBitmap& tags, const Box& within,
+                                 const std::string& what) {
+  for (const ClusterParams& p : pinned_param_sets()) {
+    const auto expected = reference_br::berger_rigoutsos(tags, within, p);
+    const auto actual = berger_rigoutsos(tags, within, p);
+    EXPECT_EQ(actual, expected)
+        << what << " efficiency=" << p.efficiency << " min_size=" << p.min_size
+        << " max_box_cells=" << p.max_box_cells;
+  }
+}
+
+TEST_P(BergerRigoutsosProperty, MatchesThreePassReference) {
+  const TagBitmap tags = property_pattern(GetParam());
+  expect_reference_clustering(tags, tags.region(), "pattern");
+  expect_reference_clustering(tags, Box(5, -3, 50, 40), "clipped pattern");
+}
+
+TEST(BergerRigoutsos, MatchesThreePassReferenceOnRandomBlobs) {
+  std::mt19937 rng(20261020u);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Box region(-37, -11, -37 + 60 + 13 * trial, -11 + 50 + 7 * trial);
+    TagBitmap tags(region);
+    std::uniform_int_distribution<int> ci(region.lower().i, region.upper().i);
+    std::uniform_int_distribution<int> cj(region.lower().j, region.upper().j);
+    std::uniform_real_distribution<double> radius(1.0, 12.0);
+    std::bernoulli_distribution speckle(0.7);
+    for (int blob = 0; blob < 1 + trial % 6; ++blob) {
+      const int x = ci(rng);
+      const int y = cj(rng);
+      const double r = radius(rng);
+      for (int j = region.lower().j; j <= region.upper().j; ++j) {
+        for (int i = region.lower().i; i <= region.upper().i; ++i) {
+          if (std::hypot(i - x, j - y) <= r && speckle(rng)) {
+            tags.set(i, j);
+          }
+        }
+      }
+    }
+    expect_reference_clustering(tags, region,
+                                "random blobs trial " + std::to_string(trial));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Patterns, BergerRigoutsosProperty,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "app/simulation.hpp"
 #include "util/statistics.hpp"
@@ -177,6 +178,50 @@ TEST(Simulation, RegriddingFollowsTheShock) {
   const mesh::Box later = fine_bounds();
   // The rarefaction/shock system spreads: the refined region must widen.
   EXPECT_GT(later.width(), initial.width());
+}
+
+TEST(Simulation, RegriddingBoxListsArePinned) {
+  // A 3-level Kelvin-Helmholtz 128^2 regridding every 5 steps. FNV-1a of
+  // every level's box list after initialisation and after each of 20
+  // steps (four regrids), plus the raw tag count: any change to tag
+  // collection, buffering or clustering that moves one box fails here.
+  // The reference was generated before the tag bitmap went word-parallel.
+  SimulationConfig cfg;
+  cfg.problem = "kelvin_helmholtz";
+  cfg.nx = 128;
+  cfg.ny = 128;
+  cfg.max_levels = 3;
+  cfg.regrid_interval = 5;
+  cfg.tag_threshold = 0.02;
+  Simulation sim(cfg, nullptr);
+  std::uint64_t h = 1469598103934665603ull;
+  const auto fold = [&h](long long v) {
+    for (int k = 0; k < 8; ++k) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * k)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto fold_hierarchy = [&]() {
+    for (int l = 0; l < sim.hierarchy().num_levels(); ++l) {
+      fold(l);
+      for (const mesh::Box& b : sim.hierarchy().level(l).boxes().boxes()) {
+        fold(b.lower().i);
+        fold(b.lower().j);
+        fold(b.upper().i);
+        fold(b.upper().j);
+      }
+    }
+    fold(sim.gridding_stats().cells_tagged);
+  };
+  sim.initialize();
+  fold_hierarchy();
+  for (int step = 0; step < 20; ++step) {
+    sim.step();
+    fold_hierarchy();
+  }
+  EXPECT_EQ(sim.gridding_stats().regrids, 4);
+  EXPECT_EQ(sim.hierarchy().num_levels(), 3);
+  EXPECT_EQ(h, 0x1aadb9283577aa2full) << std::hex << "0x" << h << "ull";
 }
 
 TEST(Simulation, TriplePointRuns) {
