@@ -13,21 +13,8 @@ using mesh::IntVector;
 
 namespace {
 
-/// Column (axis 0) and row (axis 1) tag signatures over a box.
-struct Signatures {
-  std::vector<std::int64_t> x;  // per column i
-  std::vector<std::int64_t> y;  // per row j
-  std::int64_t total = 0;
-};
-
-Signatures compute_signatures(const TagBitmap& tags, const Box& box) {
-  Signatures s;
-  s.total = tags.signatures(box, s.x, s.y);
-  return s;
-}
-
 /// Shrinks `box` to the bounding box of its tags (empty when untagged).
-Box tag_bounding_box(const Box& box, const Signatures& s) {
+Box tag_bounding_box(const Box& box, const TagSignatures& s) {
   if (s.total == 0) {
     return {};
   }
@@ -85,7 +72,7 @@ int find_inflection(std::span<const std::int64_t> sig, int min_size) {
 
 void cluster_recursive(const TagBitmap& tags, const Box& candidate,
                        const ClusterParams& params, std::vector<Box>& out) {
-  const Signatures s = compute_signatures(tags, candidate);
+  const TagSignatures s = tags.signatures(candidate);
   if (s.total == 0) {
     return;
   }

@@ -97,45 +97,23 @@ void for_each_word(int c0, int c1, F&& f) {
   }
 }
 
-/// r[c] |= r[c - s] over one padded row (cells move to higher columns).
-/// Bits pushed into the padding must be masked off by the caller.
-void or_shifted_up(std::uint64_t* r, int nw, int s) {
-  const int q = s >> 6;
-  const int b = s & 63;
+/// r[c] |= r[c - 1] over one padded row (cells move one column up).
+/// The bit pushed into the padding must be masked off by the caller.
+void or_shifted_up(std::uint64_t* r, int nw) {
   // Descending, so every word read is still unmodified.
-  for (int w = nw - 1; w >= q; --w) {
-    std::uint64_t v = r[w - q] << b;
-    if (b != 0 && w - q > 0) {
-      v |= r[w - q - 1] >> (64 - b);
-    }
-    r[w] |= v;
+  for (int w = nw - 1; w > 0; --w) {
+    r[w] |= r[w] << 1 | r[w - 1] >> 63;
   }
+  r[0] |= r[0] << 1;
 }
 
-/// r[c] |= r[c + s] over one padded row (cells move to lower columns).
-void or_shifted_down(std::uint64_t* r, int nw, int s) {
-  const int q = s >> 6;
-  const int b = s & 63;
+/// r[c] |= r[c + 1] over one padded row (cells move one column down).
+void or_shifted_down(std::uint64_t* r, int nw) {
   // Ascending, so every word read is still unmodified.
-  for (int w = 0; w + q < nw; ++w) {
-    std::uint64_t v = r[w + q] >> b;
-    if (b != 0 && w + q + 1 < nw) {
-      v |= r[w + q + 1] << (64 - b);
-    }
-    r[w] |= v;
+  for (int w = 0; w + 1 < nw; ++w) {
+    r[w] |= r[w] >> 1 | r[w + 1] << 63;
   }
-}
-
-/// Calls step(s) with the shifts that, ORed in by doubling, take a set
-/// from offsets {0} to offsets [0, b]: after each call the covered range
-/// [0, c-1] grows to [0, c+s-1] with s <= c.
-template <typename F>
-void doubling_steps(int b, F&& step) {
-  for (int covered = 1; covered <= b;) {
-    const int s = std::min(covered, b + 1 - covered);
-    step(s);
-    covered += s;
-  }
+  r[nw - 1] |= r[nw - 1] >> 1;
 }
 
 }  // namespace
@@ -151,8 +129,7 @@ TagBitmap::TagBitmap(const Box& region)
 void TagBitmap::set(int i, int j) {
   RAMR_REQUIRE(region_.contains(IntVector(i, j)),
                "tag (" << i << "," << j << ") outside " << region_);
-  const int c = i - region_.lower().i;
-  row(j)[c >> 6] |= std::uint64_t{1} << (c & 63);
+  set_cell(i - region_.lower().i, j);
 }
 
 void TagBitmap::set_box(const Box& box) {
@@ -185,9 +162,8 @@ void TagBitmap::merge_compressed(const Box& patch_box,
       if (t >= n) {
         break;
       }
-      const int c = c0 + static_cast<int>(t % width);
-      row(patch_box.lower().j + static_cast<int>(t / width))[c >> 6] |=
-          std::uint64_t{1} << (c & 63);
+      set_cell(c0 + static_cast<int>(t % width),
+               patch_box.lower().j + static_cast<int>(t / width));
     }
   }
 }
@@ -197,16 +173,16 @@ void TagBitmap::buffer(int b) {
     return;
   }
   // Separable dilation, clipped to the region: first every row by
-  // [-b, b] columns, then every column by [-b, b] rows.
+  // [-b, b] columns, then every column by [-b, b] rows, one cell per pass.
   const int nw = words_per_row_;
   const int height = region_.height();
   const std::uint64_t last_word_mask =
       ~std::uint64_t{0} >> (64 * nw - region_.width());
   for (int j = region_.lower().j; j <= region_.upper().j; ++j) {
     std::uint64_t* r = row(j);
-    doubling_steps(b, [&](int s) { or_shifted_up(r, nw, s); });
+    for (int pass = 0; pass < b; ++pass) or_shifted_up(r, nw);
     r[nw - 1] &= last_word_mask;
-    doubling_steps(b, [&](int s) { or_shifted_down(r, nw, s); });
+    for (int pass = 0; pass < b; ++pass) or_shifted_down(r, nw);
   }
   std::uint64_t* base = bits_.data();
   const auto or_row = [&](int dst, int src) {
@@ -218,12 +194,12 @@ void TagBitmap::buffer(int b) {
   };
   // Ascending reads only rows above, descending only rows below, so both
   // run in place.
-  doubling_steps(b, [&](int s) {
-    for (int k = 0; k + s < height; ++k) or_row(k, k + s);
-  });
-  doubling_steps(b, [&](int s) {
-    for (int k = height - 1; k - s >= 0; --k) or_row(k, k - s);
-  });
+  for (int pass = 0; pass < b; ++pass) {
+    for (int k = 0; k + 1 < height; ++k) or_row(k, k + 1);
+  }
+  for (int pass = 0; pass < b; ++pass) {
+    for (int k = height - 1; k > 0; --k) or_row(k, k - 1);
+  }
 }
 
 std::int64_t TagBitmap::count_tags() const {
@@ -251,15 +227,14 @@ std::int64_t TagBitmap::count_tags(const Box& within) const {
   return count;
 }
 
-std::int64_t TagBitmap::signatures(const Box& box, std::vector<std::int64_t>& x,
-                                   std::vector<std::int64_t>& y) const {
+TagSignatures TagBitmap::signatures(const Box& box) const {
   RAMR_REQUIRE(region_.contains(box),
                "box " << box << " outside tag region " << region_);
-  x.assign(static_cast<std::size_t>(box.width()), 0);
-  y.assign(static_cast<std::size_t>(box.height()), 0);
+  TagSignatures s;
+  s.x.assign(static_cast<std::size_t>(box.width()), 0);
+  s.y.assign(static_cast<std::size_t>(box.height()), 0);
   const int c0 = box.lower().i - region_.lower().i;
   const int c1 = box.upper().i - region_.lower().i;
-  std::int64_t total = 0;
   for (int j = box.lower().j; j <= box.upper().j; ++j) {
     const std::uint64_t* words = row(j);
     std::int64_t count = 0;
@@ -269,13 +244,13 @@ std::int64_t TagBitmap::signatures(const Box& box, std::vector<std::int64_t>& x,
       std::uint64_t bits = words[w] & mask;
       count += std::popcount(bits);
       for (; bits != 0; bits &= bits - 1) {
-        ++x[static_cast<std::size_t>(64 * w + std::countr_zero(bits) - c0)];
+        ++s.x[static_cast<std::size_t>(64 * w + std::countr_zero(bits) - c0)];
       }
     });
-    y[static_cast<std::size_t>(j - box.lower().j)] = count;
-    total += count;
+    s.y[static_cast<std::size_t>(j - box.lower().j)] = count;
+    s.total += count;
   }
-  return total;
+  return s;
 }
 
 }  // namespace ramr::amr

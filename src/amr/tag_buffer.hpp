@@ -51,6 +51,13 @@ class DeviceTagData {
   vgpu::Stream stream_;
 };
 
+/// Tag counts of a box per column and per row.
+struct TagSignatures {
+  std::vector<std::int64_t> x;  // per column, indexed from box.lower.i
+  std::vector<std::int64_t> y;  // per row, indexed from box.lower.j
+  std::int64_t total = 0;
+};
+
 /// Host-side tag bitmap over an arbitrary region (the union of a level's
 /// patches), assembled from per-patch compressed tag arrays gathered from
 /// all ranks. Feeds Berger-Rigoutsos clustering.
@@ -91,13 +98,16 @@ class TagBitmap {
   std::int64_t count_tags() const;
   std::int64_t count_tags(const mesh::Box& within) const;
 
-  /// Tag counts per column (x, indexed from box.lower.i) and per row (y,
-  /// from box.lower.j) of `box`, which must lie inside the region: the
-  /// Berger-Rigoutsos signatures, in one pass. Returns the total.
-  std::int64_t signatures(const mesh::Box& box, std::vector<std::int64_t>& x,
-                          std::vector<std::int64_t>& y) const;
+  /// The Berger-Rigoutsos signatures of `box`, which must lie inside the
+  /// region, in one pass.
+  TagSignatures signatures(const mesh::Box& box) const;
 
  private:
+  /// Tags region-relative column c of row j, unchecked.
+  void set_cell(int c, int j) {
+    row(j)[c >> 6] |= std::uint64_t{1} << (c & 63);
+  }
+
   /// The padded words of row j (region.lower.j <= j <= region.upper.j).
   const std::uint64_t* row(int j) const {
     return bits_.data() + static_cast<std::size_t>(j - region_.lower().j) *

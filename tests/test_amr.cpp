@@ -268,17 +268,15 @@ TEST_P(TagBitmapDifferential, MatchesPerCellReference) {
               << what << " within " << within << " after buffer";
           const Box box = within.intersect(region);
           if (box.empty()) continue;
-          std::vector<std::int64_t> x;
-          std::vector<std::int64_t> y;
-          const std::int64_t total = fast.signatures(box, x, y);
-          EXPECT_EQ(total, naive.count_tags(box)) << what << " " << box;
+          const TagSignatures s = fast.signatures(box);
+          EXPECT_EQ(s.total, naive.count_tags(box)) << what << " " << box;
           for (int i = box.lower().i; i <= box.upper().i; ++i) {
-            ASSERT_EQ(x[static_cast<std::size_t>(i - box.lower().i)],
+            ASSERT_EQ(s.x[static_cast<std::size_t>(i - box.lower().i)],
                       naive.count_tags(Box(i, box.lower().j, i, box.upper().j)))
                 << what << " column " << i << " of " << box;
           }
           for (int j = box.lower().j; j <= box.upper().j; ++j) {
-            ASSERT_EQ(y[static_cast<std::size_t>(j - box.lower().j)],
+            ASSERT_EQ(s.y[static_cast<std::size_t>(j - box.lower().j)],
                       naive.count_tags(Box(box.lower().i, j, box.upper().i, j)))
                 << what << " row " << j << " of " << box;
           }
